@@ -36,16 +36,27 @@ enum class DecodeStrategy {
   kMaxVote,
   /// `draws` samples; each attribute value is drawn from the empirical
   /// frequency distribution of the draws (the paper's "weighted random").
+  /// Picking value v with probability count(v) / D from D independent draws
+  /// returns draw J for a uniform J, so each decoded attribute is
+  /// distributed exactly like one kNaive draw; only the sample stream (and
+  /// the D-fold decode cost) differs.
   kWeightedRandom,
 };
+
+/// Largest accepted DecodeOptions::draws. Every generated attribute costs
+/// `draws` stochastic decodes, so a model snapshot may not ask for more
+/// (VaeAqpModel::Train and Deserialize reject it); the library and its
+/// experiments use 1-32.
+inline constexpr int kMaxDecodeDraws = 1024;
 
 struct DecodeOptions {
   /// Weighted-random is the library default: max-vote aggregation amplifies
   /// majority modes whenever the decoder is not sharply confident per
-  /// latent point, which biases categorical marginals; weighted-random
-  /// keeps the robustness benefit without that bias.
+  /// latent point, which biases categorical marginals; weighted-random is
+  /// unbiased (it has kNaive's distribution, see above).
   DecodeStrategy strategy = DecodeStrategy::kWeightedRandom;
-  /// Number of decoder output draws aggregated per tuple (ignored by kNaive).
+  /// Number of decoder output draws aggregated per tuple (ignored by
+  /// kNaive). Values below 1 act as 1; at most kMaxDecodeDraws.
   int draws = 8;
 };
 
@@ -105,9 +116,10 @@ class TupleEncoder {
   nn::Matrix EncodeAll(const relation::Table& table) const;
 
   /// Decodes a batch of decoder-output logits into tuples of the original
-  /// schema. Invalid decoded codes (possible under kNaive with binary
-  /// encoding) are clamped into the domain, mirroring the robustness issue
-  /// the paper's aggregated decoding fixes.
+  /// schema. Each draw clamps an invalid code (a binary code past the
+  /// domain) into the domain. Requires options.draws <= kMaxDecodeDraws.
+  /// Rows, cells and draws consume `rng` in a fixed order, which generated
+  /// pools depend on byte for byte (DESIGN.md Sec. 18).
   relation::Table DecodeLogits(const nn::Matrix& logits,
                                const DecodeOptions& options,
                                util::Rng& rng) const;

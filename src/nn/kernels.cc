@@ -41,6 +41,7 @@
 #include "util/failpoint.h"
 #include "util/flags.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace deepaqp::nn {

@@ -5,11 +5,11 @@
 #include <string_view>
 
 #include "nn/matrix.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace deepaqp::util {
 class Flags;
+class Rng;  // util/rng.h; kept out of the explicit-ISA kernel TUs
 }  // namespace deepaqp::util
 
 namespace deepaqp::nn {

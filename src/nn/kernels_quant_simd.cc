@@ -13,6 +13,13 @@
 
 #include "util/logging.h"
 
+// util/rng.h defines Rng's per-draw methods inline. Seen here, an
+// AVX2-compiled COMDAT copy of one could be the copy the linker keeps for
+// the whole binary (DESIGN.md Sec. 14), so this TU must not include it.
+#ifdef DEEPAQP_UTIL_RNG_H_
+#error "util/rng.h must stay out of the explicit-ISA kernel TUs"
+#endif
+
 #if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 #define DEEPAQP_QUANT_SIMD_ISA_AVX2 1
 #include <immintrin.h>

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace deepaqp::nn {
 

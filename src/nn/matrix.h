@@ -6,8 +6,11 @@
 #include <vector>
 
 #include "nn/aligned_buffer.h"
-#include "util/rng.h"
 #include "util/serialize.h"
+
+namespace deepaqp::util {
+class Rng;  // util/rng.h; kept out of the explicit-ISA kernel TUs
+}  // namespace deepaqp::util
 
 namespace deepaqp::nn {
 

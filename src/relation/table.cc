@@ -1,6 +1,7 @@
 #include "relation/table.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/logging.h"
 
@@ -145,12 +146,33 @@ util::Status Table::Append(const Table& other) {
     return util::Status::InvalidArgument("Table::Append: schema mismatch");
   }
   const size_t m = schema_.num_attributes();
+  // Codes are copied verbatim when either side has no labels (both index
+  // one bare-code domain) or both hold the same labels (generated chunks
+  // and pools all carry the encoder's). Only differing dictionaries remap
+  // through labels, which needs every source code to have one; check that
+  // before anything is written so a rejected append leaves *this intact.
+  std::vector<uint8_t> remap(m, 0);
+  for (size_t c = 0; c < m; ++c) {
+    if (!schema_.IsCategorical(c)) continue;
+    const Dictionary& src = other.dicts_[c];
+    const Dictionary& dst = dicts_[c];
+    if (src.size() == 0 || dst.size() == 0 || src.labels() == dst.labels()) {
+      continue;
+    }
+    for (int32_t code : other.cat_columns_[c]) {
+      if (code >= src.size()) {
+        return util::Status::InvalidArgument(
+            "Table::Append: code " + std::to_string(code) + " of column '" +
+            schema_.attribute(c).name + "' has no label to remap (" +
+            std::to_string(src.size()) + " labels)");
+      }
+    }
+    remap[c] = 1;
+  }
   for (size_t c = 0; c < m; ++c) {
     if (schema_.IsCategorical(c)) {
-      // Remap codes through labels when both sides carry dictionaries;
-      // otherwise codes are assumed to share the same domain indexing.
-      const Dictionary& src = other.dicts_[c];
-      if (src.size() > 0 && dicts_[c].size() > 0) {
+      if (remap[c]) {
+        const Dictionary& src = other.dicts_[c];
         for (int32_t code : other.cat_columns_[c]) {
           cat_columns_[c].push_back(dicts_[c].GetOrAdd(src.LabelOf(code)));
         }
@@ -193,6 +215,16 @@ Table Table::Project(const std::vector<size_t>& attrs) const {
   }
   out.num_rows_ = num_rows_;
   return out;
+}
+
+int32_t* Table::MutableCatData(size_t col) {
+  DEEPAQP_CHECK(schema_.IsCategorical(col));
+  return cat_columns_[col].data();
+}
+
+double* Table::MutableNumData(size_t col) {
+  DEEPAQP_CHECK(schema_.IsNumeric(col));
+  return num_columns_[col].data();
 }
 
 const CatVector& Table::CatColumn(size_t col) const {

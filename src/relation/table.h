@@ -81,7 +81,10 @@ class Table {
   /// Uniform random sample of `k` rows without replacement (k <= num_rows).
   Table SampleRows(size_t k, util::Rng& rng) const;
 
-  /// Appends all rows of `other`; schemas must match.
+  /// Appends all rows of `other`; schemas must match. Categorical codes are
+  /// copied verbatim when the two columns hold the same labels (or either
+  /// has none); otherwise each code is remapped through its label, and a
+  /// source code without a label is InvalidArgument (nothing is appended).
   util::Status Append(const Table& other);
 
   /// Appends `n` rows whose cells are *uninitialized* (indeterminate until
@@ -108,6 +111,12 @@ class Table {
   /// Direct column access for hot paths (encoders, executors).
   const CatVector& CatColumn(size_t col) const;
   const NumVector& NumColumn(size_t col) const;
+
+  /// Writable cells of a column, for filling rows added by
+  /// AppendUninitializedRows (the tuple decoder writes each generated cell
+  /// in place). Categorical codes written this way must be non-negative.
+  int32_t* MutableCatData(size_t col);
+  double* MutableNumData(size_t col);
 
  private:
   Schema schema_;

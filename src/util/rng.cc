@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -16,8 +17,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,35 +24,9 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::Uniform(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
-uint64_t Rng::NextIndex(uint64_t n) {
-  DEEPAQP_CHECK_GT(n, 0u);
-  // Rejection to avoid modulo bias.
-  const uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) return r % n;
-  }
+void Rng::FailEmptyIndexRange() {
+  DEEPAQP_LOG(Error) << "Rng::NextIndex(0): the range [0, 0) is empty";
+  std::abort();
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -82,8 +55,6 @@ double Rng::NextGaussian() {
 double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * NextGaussian();
 }
-
-bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 double Rng::Exponential(double rate) {
   DEEPAQP_CHECK_GT(rate, 0.0);

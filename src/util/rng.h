@@ -1,6 +1,7 @@
 #ifndef DEEPAQP_UTIL_RNG_H_
 #define DEEPAQP_UTIL_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -11,6 +12,13 @@ namespace deepaqp::util {
 /// SplitMix64). One instance per logical stream; not thread-safe, share
 /// nothing across threads. All library randomness flows through this class so
 /// experiments are reproducible from a single seed.
+///
+/// The per-draw methods (NextUint64, NextDouble, Uniform, NextIndex,
+/// Bernoulli) are defined inline below: tuple decoding calls them hundreds
+/// of times per generated row, and the build has no LTO to inline them
+/// across translation units. Keep this header out of the explicit-ISA
+/// kernel TUs (DESIGN.md Sec. 14): an AVX2-compiled COMDAT copy of an
+/// inline method could otherwise be the one the linker keeps.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
@@ -66,10 +74,49 @@ class Rng {
   static Rng ChildStream(uint64_t master_seed, uint64_t stream_index);
 
  private:
+  /// Aborts with a diagnostic; NextIndex(0) has no valid result.
+  [[noreturn]] static void FailEmptyIndexRange();
+
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
 };
+
+inline uint64_t Rng::NextUint64() {
+  const uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 high bits -> uniform double in [0, 1).
+  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::Uniform(double lo, double hi) {
+  return lo + (hi - lo) * NextDouble();
+}
+
+inline uint64_t Rng::NextIndex(uint64_t n) {
+  if (n == 0) FailEmptyIndexRange();
+  // A power of two divides 2^64, so the rejection threshold below is 0 and
+  // r % n is r & (n - 1): the same value, without two 64-bit divisions.
+  if ((n & (n - 1)) == 0) return NextUint64() & (n - 1);
+  // Rejection to avoid modulo bias.
+  const uint64_t threshold = (0 - n) % n;
+  for (;;) {
+    const uint64_t r = NextUint64();
+    if (r >= threshold) return r % n;
+  }
+}
+
+inline bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 /// Zipf distribution over {0, ..., n-1} with exponent s >= 0 (s = 0 is
 /// uniform). Precomputes the CDF once; sampling is O(log n) via binary

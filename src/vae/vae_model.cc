@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "nn/arena.h"
 #include "nn/kernels.h"
@@ -34,6 +36,18 @@ void PrepareQuantizedForActiveMode(VaeAqpModel* model) {
   }
 }
 
+/// Every generated attribute costs `draws` decodes, so Train and Deserialize
+/// share one cap: no model is saved that will not load, and an untrusted
+/// snapshot cannot stall every session that generates from it.
+util::Status CheckDecodeDraws(int draws) {
+  if (draws > encoding::kMaxDecodeDraws) {
+    return util::Status::InvalidArgument(
+        "decode draws " + std::to_string(draws) + " exceed the cap of " +
+        std::to_string(encoding::kMaxDecodeDraws));
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Train(
@@ -45,6 +59,7 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Train(
   if (options.epochs < 1 || options.batch_size < 1) {
     return util::Status::InvalidArgument("epochs and batch_size must be >=1");
   }
+  DEEPAQP_RETURN_IF_ERROR(CheckDecodeDraws(options.decode.draws));
   util::Stopwatch total_watch;
 
   auto model = std::unique_ptr<VaeAqpModel>(new VaeAqpModel());
@@ -354,7 +369,7 @@ relation::Table VaeAqpModel::Generate(size_t n, double t, util::Rng& rng,
   const uint64_t master = rng.NextUint64();
   const size_t num_chunks =
       (n + kGenerateChunkRows - 1) / kGenerateChunkRows;
-  std::vector<relation::Table> chunks(num_chunks, out);
+  std::vector<std::optional<relation::Table>> chunks(num_chunks);
   std::vector<GenerateStats> chunk_stats(num_chunks);
   // Node-sharded fan-out: each NUMA node's lanes generate a contiguous
   // block of chunks. Chunk contents depend only on (master, c) — never on
@@ -364,7 +379,7 @@ relation::Table VaeAqpModel::Generate(size_t n, double t, util::Rng& rng,
     const size_t begin = c * kGenerateChunkRows;
     const size_t rows = std::min(kGenerateChunkRows, n - begin);
     util::Rng chunk_rng = util::Rng::ChildStream(master, c);
-    chunks[c] = GenerateChunk(rows, t, chunk_rng, &chunk_stats[c]);
+    chunks[c].emplace(GenerateChunk(rows, t, chunk_rng, &chunk_stats[c]));
   });
   // Merge: size the pool without touching it (first-touch-deferred column
   // growth), then copy each chunk into its slice under the same node
@@ -376,12 +391,12 @@ relation::Table VaeAqpModel::Generate(size_t n, double t, util::Rng& rng,
   // Append bit for bit at every thread count and placement policy.
   std::vector<size_t> offsets(num_chunks + 1, 0);
   for (size_t c = 0; c < num_chunks; ++c) {
-    offsets[c + 1] = offsets[c] + chunks[c].num_rows();
+    offsets[c + 1] = offsets[c] + chunks[c]->num_rows();
     if (stats != nullptr) stats->Merge(chunk_stats[c]);
   }
   out.AppendUninitializedRows(offsets[num_chunks]);
   util::ParallelForSharded(0, num_chunks, [&](size_t c) {
-    out.AssignRows(offsets[c], chunks[c]);
+    out.AssignRows(offsets[c], *chunks[c]);
   });
   if (out.num_rows() < n) {
     DEEPAQP_LOG(Warning) << "Generate produced " << out.num_rows() << "/"
@@ -424,6 +439,8 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
     const size_t remaining = n - out.num_rows();
     const size_t batch = std::min(window, std::max<size_t>(remaining, 64));
     net_->SamplePriorInto(batch, rng, &z);
+    // The window's one decoder pass: these logits feed both the candidates'
+    // log-ratios and the decoding of the accepted rows.
     net_->DecodeLogitsConstInto(z, &logits, &arena);
 
     accepted.clear();
@@ -441,7 +458,7 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
       net_->EncodeConstInto(bits, &post, &arena);
       // The cache-free const paths keep this chunk self-contained: nothing
       // on the shared net is written, so sibling chunks can run in parallel.
-      net_->LogRatioRowsConstInto(bits, post, z, &ratio, &arena);
+      VaeNet::LogRatioRowsFromLogitsInto(logits, bits, post, z, &ratio);
       // Chaos site: simulated compute fault during sampling — poisons one
       // candidate's log-ratio, which the non-finite-rejection path below
       // must absorb.
@@ -550,15 +567,7 @@ relation::Table VaeAqpModel::GenerateWhere(size_t n,
 GenerateWhereResult VaeAqpModel::GenerateWhereReport(
     size_t n, const aqp::Predicate& predicate, double t, util::Rng& rng,
     size_t max_candidates) const {
-  relation::Table out(encoder_.schema());
-  for (size_t c = 0; c < encoder_.schema().num_attributes(); ++c) {
-    if (encoder_.schema().IsCategorical(c)) {
-      out.DeclareCardinality(c, encoder_.layout()[c].cardinality);
-      for (const std::string& label : encoder_.layout()[c].labels) {
-        out.InternLabel(c, label);
-      }
-    }
-  }
+  relation::Table out = MakeEmptySampleTable();
   size_t candidates = 0;
   while (out.num_rows() < n && candidates < max_candidates) {
     const size_t batch =
@@ -648,6 +657,7 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Deserialize(
   model->options_.decode.strategy =
       static_cast<encoding::DecodeStrategy>(strategy);
   DEEPAQP_ASSIGN_OR_RETURN(model->options_.decode.draws, meta.ReadI32());
+  DEEPAQP_RETURN_IF_ERROR(CheckDecodeDraws(model->options_.decode.draws));
   if (!meta.AtEnd()) {
     return util::Status::InvalidArgument(
         "trailing bytes in VAE model 'meta' section");

@@ -9,6 +9,7 @@
 #include "aqp/evaluation.h"
 #include "encoding/tuple_encoder.h"
 #include "relation/table.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "vae/vae_net.h"
@@ -223,7 +224,10 @@ class VaeAqpModel {
 
   /// Output decoding is a client-side generation knob (Fig. 7); it can be
   /// changed after training without touching the learned weights.
+  /// `decode.draws` must be at most encoding::kMaxDecodeDraws, the cap
+  /// Deserialize enforces.
   void set_decode_options(const encoding::DecodeOptions& decode) {
+    DEEPAQP_CHECK_LE(decode.draws, encoding::kMaxDecodeDraws);
     options_.decode = decode;
   }
 

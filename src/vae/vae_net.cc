@@ -166,12 +166,20 @@ Matrix VaeNet::LogRatioRowsConst(const Matrix& x_bits, const Posterior& post,
 void VaeNet::LogRatioRowsConstInto(const Matrix& x_bits, const Posterior& post,
                                    const Matrix& z, Matrix* out,
                                    nn::ScratchArena* arena) const {
-  // Same terms in the same order as LogRatioRowsConst; only the decoder
-  // logits (the one batch x input_dim intermediate) come from the arena.
+  // Only the decoder logits (the one batch x input_dim intermediate) come
+  // from the arena.
   Matrix logits = arena->Acquire();
   DecodeLogitsConstInto(z, &logits, arena);
-  *out = nn::BernoulliLogLikelihoodRows(logits, x_bits);
+  LogRatioRowsFromLogitsInto(logits, x_bits, post, z, out);
   arena->Release(std::move(logits));
+}
+
+void VaeNet::LogRatioRowsFromLogitsInto(const Matrix& logits,
+                                        const Matrix& x_bits,
+                                        const Posterior& post,
+                                        const Matrix& z, Matrix* out) {
+  // Same terms in the same order as LogRatioRowsConst.
+  *out = nn::BernoulliLogLikelihoodRows(logits, x_bits);
   Matrix log_pz = nn::StandardNormalLogDensityRows(z);
   for (size_t r = 0; r < out->rows(); ++r) {
     out->At(r, 0) += log_pz.At(r, 0);

@@ -132,9 +132,20 @@ class VaeNet {
 
   /// Allocation-free LogRatioRowsConst: the decoder logits (the one large
   /// intermediate) come from `arena`; the n x 1 result is written to `out`.
+  /// A decoder pass followed by LogRatioRowsFromLogitsInto.
   void LogRatioRowsConstInto(const nn::Matrix& x_bits, const Posterior& post,
                              const nn::Matrix& z, nn::Matrix* out,
                              nn::ScratchArena* arena) const;
+
+  /// LogRatioRowsConstInto for a caller that already holds the decoder
+  /// logits of `z` (generation decodes each VRS window once and reuses the
+  /// logits for both the candidates and their log-ratios). Bit-identical to
+  /// LogRatioRowsConst(x_bits, post, z) when `logits` are z's.
+  static void LogRatioRowsFromLogitsInto(const nn::Matrix& logits,
+                                         const nn::Matrix& x_bits,
+                                         const Posterior& post,
+                                         const nn::Matrix& z,
+                                         nn::Matrix* out);
 
   /// Draws z ~ N(0, I) (the generative prior).
   nn::Matrix SamplePrior(size_t n, util::Rng& rng) const;

@@ -1,10 +1,14 @@
 #include "encoding/tuple_encoder.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "decode_reference.h"
 
 namespace deepaqp::encoding {
 namespace {
@@ -262,6 +266,170 @@ TEST(EncoderTest, EncodedDimsMatchPaperFormulas) {
   }
   EXPECT_EQ(e1->encoded_dim(), expect_one_hot);
   EXPECT_EQ(e2->encoded_dim(), expect_binary);
+}
+
+/// A categorical column whose codes run past its labels (2 labels, codes
+/// 0-4) and a constant numeric column (one bin with equal edges, which
+/// decodes without a draw), next to an ordinary numeric column.
+Table LabelGapTable() {
+  Schema s;
+  EXPECT_TRUE(s.AddAttribute("tag", AttrType::kCategorical).ok());
+  EXPECT_TRUE(s.AddAttribute("flat", AttrType::kNumeric).ok());
+  EXPECT_TRUE(s.AddAttribute("value", AttrType::kNumeric).ok());
+  Table t(s);
+  t.InternLabel(0, "a");
+  t.InternLabel(0, "b");
+  for (int i = 0; i < 200; ++i) {
+    t.AppendRow({Datum::Categorical(i % 5), Datum::Numeric(7.0),
+                 Datum::Numeric(i * 0.5)});
+  }
+  return t;
+}
+
+/// Random logits, or saturated ones (+-40: every draw of a slot agrees).
+nn::Matrix TestLogits(size_t rows, size_t cols, bool saturated,
+                      uint64_t seed) {
+  util::Rng rng(seed);
+  nn::Matrix logits(rows, cols);
+  for (size_t i = 0; i < logits.size(); ++i) {
+    logits.data()[i] =
+        saturated ? (rng.Bernoulli(0.5) ? 40.0f : -40.0f)
+                  : static_cast<float>(rng.Gaussian(0.0, 3.0));
+  }
+  return logits;
+}
+
+void ExpectIdenticalTables(const Table& want, const Table& got) {
+  ASSERT_EQ(want.schema(), got.schema());
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  for (size_t c = 0; c < want.num_attributes(); ++c) {
+    if (want.schema().IsCategorical(c)) {
+      EXPECT_TRUE(want.CatColumn(c) == got.CatColumn(c)) << "column " << c;
+      EXPECT_EQ(want.Cardinality(c), got.Cardinality(c)) << "column " << c;
+      EXPECT_EQ(want.dict(c).labels(), got.dict(c).labels())
+          << "column " << c;
+    } else {
+      const auto& a = want.NumColumn(c);
+      const auto& b = got.NumColumn(c);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                0)
+          << "column " << c;
+    }
+  }
+}
+
+/// Equal next draws, a cached Box-Muller spare included, mean equal states.
+void ExpectSameRngState(util::Rng a, util::Rng b) {
+  EXPECT_EQ(a.NextGaussian(), b.NextGaussian());
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.NextUint64(), b.NextUint64());
+}
+
+TEST(DecodeOracleTest, DecodeLogitsMatchesReferenceByteForByte) {
+  // Flights mixes small labeled domains, a 300-value label-less one and
+  // numeric bins; LabelGapTable adds codes past the labels and a constant
+  // numeric column.
+  const std::vector<Table> tables = {
+      data::GenerateFlights(
+          {.rows = 600, .seed = 4, .flight_number_cardinality = 300}),
+      LabelGapTable()};
+  uint64_t seed = 100;
+  for (const Table& table : tables) {
+    for (EncodingKind kind : {EncodingKind::kOneHot, EncodingKind::kBinary,
+                              EncodingKind::kInteger}) {
+      auto enc = TupleEncoder::Fit(table, {kind, 8});
+      ASSERT_TRUE(enc.ok());
+      for (bool saturated : {false, true}) {
+        const nn::Matrix logits =
+            TestLogits(48, enc->encoded_dim(), saturated, ++seed);
+        for (DecodeStrategy strategy :
+             {DecodeStrategy::kNaive, DecodeStrategy::kMaxVote,
+              DecodeStrategy::kWeightedRandom}) {
+          for (int draws : {1, 3, 8, 65}) {
+            SCOPED_TRACE(std::string(EncodingKindName(kind)) +
+                         " strategy=" +
+                         std::to_string(static_cast<int>(strategy)) +
+                         " draws=" + std::to_string(draws) +
+                         (saturated ? " saturated" : " random") +
+                         " attrs=" + std::to_string(table.num_attributes()));
+            util::Rng want_rng(++seed);
+            util::Rng got_rng = want_rng;
+            const Table want = ReferenceDecodeLogits(
+                *enc, logits, {strategy, draws}, want_rng);
+            const Table got =
+                enc->DecodeLogits(logits, {strategy, draws}, got_rng);
+            ExpectIdenticalTables(want, got);
+            ExpectSameRngState(want_rng, got_rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Two-sample chi-square z-score over (logit row, code) cells of one
+/// categorical attribute: counts[row][code] from two decoders that each
+/// decoded every row the same number of times.
+double TwoSampleZ(const std::vector<std::vector<int>>& a,
+                  const std::vector<std::vector<int>>& b) {
+  double chi2 = 0.0;
+  double df = 0.0;
+  for (size_t r = 0; r < a.size(); ++r) {
+    int cells = 0;
+    for (size_t v = 0; v < a[r].size(); ++v) {
+      const double total = a[r][v] + b[r][v];
+      if (total == 0) continue;
+      const double diff = a[r][v] - b[r][v];
+      chi2 += diff * diff / total;
+      ++cells;
+    }
+    if (cells > 1) df += cells - 1;
+  }
+  return df > 0 ? (chi2 - df) / std::sqrt(2.0 * df) : 0.0;
+}
+
+// Weighted-random over D draws picks value v with probability count(v)/D,
+// which is returning draw J for a uniform J: each decoded attribute is
+// distributed exactly like one naive draw. Max-vote is not (it sharpens
+// toward the mode). Seeded, so the z-scores are fixed numbers.
+TEST(DecodeDistributionTest, WeightedRandomIsDistributedLikeNaive) {
+  auto table = data::GenerateCensus({.rows = 2000, .seed = 3});
+  auto enc = TupleEncoder::Fit(table, {});
+  ASSERT_TRUE(enc.ok());
+  constexpr size_t kRows = 64;
+  constexpr size_t kRepeats = 1500;
+  const nn::Matrix fixed = TestLogits(kRows, enc->encoded_dim(), false, 9);
+  nn::Matrix logits(kRows * kRepeats, enc->encoded_dim());
+  for (size_t r = 0; r < logits.rows(); ++r) {
+    std::memcpy(logits.Row(r), fixed.Row(r % kRows),
+                enc->encoded_dim() * sizeof(float));
+  }
+  // counts[attribute][row][code]
+  auto tally = [&](const DecodeOptions& options, uint64_t seed) {
+    util::Rng rng(seed);
+    const Table decoded = enc->DecodeLogits(logits, options, rng);
+    std::vector<std::vector<std::vector<int>>> counts(
+        table.num_attributes());
+    for (size_t c = 0; c < table.num_attributes(); ++c) {
+      if (!table.schema().IsCategorical(c)) continue;
+      counts[c].assign(kRows,
+                       std::vector<int>(enc->layout()[c].cardinality, 0));
+      for (size_t r = 0; r < decoded.num_rows(); ++r) {
+        ++counts[c][r % kRows][decoded.CatCode(r, c)];
+      }
+    }
+    return counts;
+  };
+  const auto naive = tally({DecodeStrategy::kNaive, 1}, 11);
+  const auto weighted = tally({DecodeStrategy::kWeightedRandom, 8}, 12);
+  const auto max_vote = tally({DecodeStrategy::kMaxVote, 8}, 13);
+  double max_vote_z = 0.0;
+  for (size_t c = 0; c < table.num_attributes(); ++c) {
+    if (!table.schema().IsCategorical(c)) continue;
+    EXPECT_LT(std::abs(TwoSampleZ(naive[c], weighted[c])), 4.0)
+        << table.schema().attribute(c).name;
+    max_vote_z = std::max(max_vote_z, TwoSampleZ(naive[c], max_vote[c]));
+  }
+  EXPECT_GT(max_vote_z, 20.0);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include "nn/matrix.h"
+#include "util/rng.h"
 
 #include <gtest/gtest.h>
 

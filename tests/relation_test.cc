@@ -1,6 +1,8 @@
 #include "relation/table.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -148,6 +150,42 @@ TEST(TableTest, AppendRemapsThroughDictionaries) {
   // "blue" got a fresh code in a's dictionary; "red" reused code 0.
   EXPECT_EQ(a.dict(0).LabelOf(a.CatCode(1, 0)), "blue");
   EXPECT_EQ(a.CatCode(2, 0), 0);
+}
+
+TEST(TableTest, AppendCopiesCodesVerbatimWhenLabelsMatch) {
+  // Both sides hold the same labels, and some codes have none (AppendRow
+  // accepts any non-negative code): generated pools look like this.
+  Table a(TwoColSchema());
+  a.InternLabel(0, "red");
+  a.InternLabel(0, "blue");
+  a.AppendRow({Datum::Categorical(1), Datum::Numeric(1.0)});
+  Table b = a;
+  b.AppendRow({Datum::Categorical(4), Datum::Numeric(2.0)});
+  b.AppendRow({Datum::Categorical(0), Datum::Numeric(3.0)});
+  ASSERT_TRUE(a.Append(b).ok());
+  ASSERT_EQ(a.num_rows(), 4u);
+  EXPECT_EQ(a.CatCode(1, 0), 1);
+  EXPECT_EQ(a.CatCode(2, 0), 4);
+  EXPECT_EQ(a.CatCode(3, 0), 0);
+  EXPECT_EQ(a.dict(0).labels(), (std::vector<std::string>{"red", "blue"}));
+  EXPECT_EQ(a.Cardinality(0), 5);
+}
+
+TEST(TableTest, AppendRejectsUnlabeledCodesItMustRemap) {
+  Table a(TwoColSchema());
+  a.AppendRow({Datum::Categorical(a.InternLabel(0, "red")),
+               Datum::Numeric(1.0)});
+  Table b(TwoColSchema());
+  b.InternLabel(0, "blue");
+  b.AppendRow({Datum::Categorical(0), Datum::Numeric(2.0)});
+  b.AppendRow({Datum::Categorical(3), Datum::Numeric(3.0)});  // no label
+  const util::Status st = a.Append(b);
+  EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument) << st.ToString();
+  // Nothing was appended, and no label was added.
+  EXPECT_EQ(a.num_rows(), 1u);
+  EXPECT_EQ(a.CatColumn(0).size(), 1u);
+  EXPECT_EQ(a.NumColumn(1).size(), 1u);
+  EXPECT_EQ(a.dict(0).size(), 1);
 }
 
 TEST(TableTest, AppendRejectsSchemaMismatch) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -245,6 +247,75 @@ TEST(AliasTableTest, SingleElement) {
   Rng rng(67);
   AliasTable alias({3.0});
   for (int i = 0; i < 10; ++i) EXPECT_EQ(alias.Sample(rng), 0u);
+}
+
+// Generated pools depend on the exact draw sequences, so the per-draw
+// methods are pinned to recorded values (taken from the out-of-line
+// implementations they replaced). NextIndex covers the power-of-two fast
+// path (1, 2, 8, 2^32, 2^63) and the rejection path (3); each n consumes
+// exactly one 64-bit draw per index, so the stream after four indexes is
+// the same for all of them.
+TEST(RngTest, NextIndexSequencesArePinned) {
+  struct Case {
+    uint64_t n;
+    uint64_t want[4];
+  };
+  const Case cases[] = {
+      {1, {0u, 0u, 0u, 0u}},
+      {2, {1u, 1u, 0u, 0u}},
+      {3, {1u, 2u, 0u, 1u}},
+      {8, {7u, 1u, 4u, 0u}},
+      {uint64_t{1} << 32, {1148610719u, 1466906513u, 203746700u, 215496120u}},
+      {uint64_t{1} << 63,
+       {5797906573132458143u, 5881210131331364753u, 8926271879130705292u,
+        3710296902904329656u}},
+  };
+  for (const Case& c : cases) {
+    Rng rng(42);
+    for (uint64_t want : c.want) EXPECT_EQ(rng.NextIndex(c.n), want) << c.n;
+    EXPECT_EQ(rng.NextUint64(), 14637574242682825331u) << c.n;
+  }
+}
+
+TEST(RngTest, PerDrawSequencesArePinned) {
+  Rng rng(7);
+  EXPECT_EQ(rng.NextUint64(), 0x0e2c1a002aae913dull);
+  EXPECT_EQ(rng.NextUint64(), 0x2c0fc8ddfa4e9e14ull);
+  EXPECT_EQ(rng.NextUint64(), 0xb7b311b3b0d45872ull);
+  const uint64_t want_doubles[] = {0x3fdb5767da98c600ull, 0x3feed64c7e5eaf20ull,
+                                   0x3fddce16d89f08b0ull};
+  for (uint64_t want : want_doubles) {
+    const double d = rng.NextDouble();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    EXPECT_EQ(bits, want);
+  }
+  EXPECT_EQ(rng.Uniform(-3.0, 5.0), 2.7912567618922886);
+  EXPECT_EQ(rng.Uniform(-3.0, 5.0), -0.36128456357977612);
+  EXPECT_EQ(rng.Uniform(-3.0, 5.0), 4.8585812096979453);
+  std::string bernoulli;
+  for (int i = 0; i < 16; ++i) bernoulli += rng.Bernoulli(0.3) ? '1' : '0';
+  EXPECT_EQ(bernoulli, "1110101111000000");
+
+  // A long interleaving of all four, as tuple decoding mixes them.
+  Rng mixed(2024);
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int i = 0; i < 5000; ++i) {
+    mix(mixed.NextUint64());
+    const double d = mixed.Uniform(-1.0, 1.0);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+    mix(mixed.Bernoulli(static_cast<float>(i % 17) / 16.0f));
+    mix(mixed.NextIndex(static_cast<uint64_t>(i % 13) + 1));
+  }
+  EXPECT_EQ(h, 0x414d5753f997828dull);
 }
 
 }  // namespace

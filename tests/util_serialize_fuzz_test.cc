@@ -4,6 +4,10 @@
 // giant allocations — and a clean save->load round trip must reproduce
 // bit-identical samples at every thread count.
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
@@ -122,6 +126,38 @@ TEST(SerializeFuzzTest, BitFlippedModelsAlwaysRejected) {
     auto back = vae::VaeAqpModel::Deserialize(mutated);
     EXPECT_FALSE(back.ok()) << "flip at byte " << byte << " was accepted";
   }
+}
+
+TEST(SerializeFuzzTest, CraftedDecodeDrawsAboveTheCapAreRejected) {
+  // A well-formed snapshot (valid checksums) whose meta section asks for
+  // 2^31 - 1 decoder draws per generated attribute: loading it would stall
+  // every session that generates from it.
+  auto model = TrainTinyVae(21);
+  ASSERT_TRUE(model.ok());
+  auto craft = [&](int32_t draws) {
+    util::SnapshotWriter snap(vae::kVaeModelSnapshotKind,
+                              vae::kVaeModelPayloadVersion);
+    util::ByteWriter& meta = snap.AddSection("meta");
+    meta.WriteF64((*model)->default_t());
+    meta.WriteU8(static_cast<uint8_t>(
+        encoding::DecodeStrategy::kWeightedRandom));
+    meta.WriteI32(draws);
+    (*model)->tuple_encoder().Serialize(snap.AddSection("encoder"));
+    (*model)->net().Serialize(snap.AddSection("net"));
+    return snap.Finish();
+  };
+  auto hostile = vae::VaeAqpModel::Deserialize(
+      craft(std::numeric_limits<int32_t>::max()));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(hostile.status().message().find("draws"), std::string::npos)
+      << hostile.status().ToString();
+  EXPECT_FALSE(vae::VaeAqpModel::Deserialize(
+                   craft(encoding::kMaxDecodeDraws + 1))
+                   .ok());
+  // The same bytes at the cap load: only the count was wrong.
+  EXPECT_TRUE(
+      vae::VaeAqpModel::Deserialize(craft(encoding::kMaxDecodeDraws)).ok());
 }
 
 TEST(SerializeFuzzTest, FutureSnapshotVersionsAreDiagnosed) {

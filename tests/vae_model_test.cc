@@ -35,6 +35,54 @@ TEST(VaeModelTest, TrainRejectsDegenerateInputs) {
   EXPECT_FALSE(VaeAqpModel::Train(table, bad).ok());
 }
 
+TEST(VaeModelTest, TrainRejectsDrawsAboveTheCap) {
+  auto table = data::GenerateTaxi({.rows = 100, .seed = 1});
+  VaeAqpOptions opts = FastOptions();
+  opts.epochs = 1;
+  opts.decode.draws = encoding::kMaxDecodeDraws + 1;
+  const auto model = VaeAqpModel::Train(table, opts);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), util::StatusCode::kInvalidArgument);
+  opts.decode.draws = encoding::kMaxDecodeDraws;
+  EXPECT_TRUE(VaeAqpModel::Train(table, opts).ok());
+}
+
+TEST(VaeModelTest, GeneratesFromCodesWithoutLabels) {
+  // A categorical column with 2 labels but codes 0-4 (AppendRow accepts
+  // them): the model's domain is 5 values, only 2 of them labeled.
+  relation::Schema s;
+  ASSERT_TRUE(s.AddAttribute("tag", relation::AttrType::kCategorical).ok());
+  ASSERT_TRUE(s.AddAttribute("x", relation::AttrType::kNumeric).ok());
+  relation::Table table(s);
+  table.InternLabel(0, "a");
+  table.InternLabel(0, "b");
+  for (int i = 0; i < 500; ++i) {
+    table.AppendRow({relation::Datum::Categorical(i % 5),
+                     relation::Datum::Numeric(i % 7)});
+  }
+  VaeAqpOptions opts = FastOptions();
+  opts.epochs = 2;
+  auto model = VaeAqpModel::Train(table, opts);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  util::Rng rng(8);
+  // Two chunks, so the merge of chunks is covered too.
+  const relation::Table sample = (*model)->Generate(700, kTPlusInf, rng);
+  ASSERT_EQ(sample.num_rows(), 700u);
+  EXPECT_EQ(sample.dict(0).size(), 2);
+  EXPECT_EQ(sample.Cardinality(0), 5);
+  bool unlabeled = false;
+  for (size_t r = 0; r < sample.num_rows(); ++r) {
+    EXPECT_GE(sample.CatCode(r, 0), 0);
+    EXPECT_LT(sample.CatCode(r, 0), 5);
+    unlabeled |= sample.CatCode(r, 0) >= 2;
+  }
+  EXPECT_TRUE(unlabeled);
+  // Growing a pool appends a second sample with the same labels.
+  relation::Table pool = sample;
+  ASSERT_TRUE(pool.Append((*model)->Generate(100, kTPlusInf, rng)).ok());
+  EXPECT_EQ(pool.num_rows(), 800u);
+}
+
 TEST(VaeModelTest, GeneratedTableHasSchemaAndDomains) {
   auto table = data::GenerateTaxi({.rows = 3000, .seed = 2});
   auto model = VaeAqpModel::Train(table, FastOptions());

@@ -3,8 +3,11 @@
 #include "vae/vae_model.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
+
+#include "nn/arena.h"
 
 namespace deepaqp::vae {
 namespace {
@@ -102,6 +105,32 @@ TEST(VaeNetTest, LogRatioRowsFiniteAndOrdered) {
   for (size_t r = 0; r < ratio.rows(); ++r) {
     EXPECT_TRUE(std::isfinite(ratio.At(r, 0)));
   }
+}
+
+TEST(VaeNetTest, LogRatioFromLogitsMatchesEveryLogRatioForm) {
+  VaeNet net(SmallOptions());
+  util::Rng rng(23);
+  Matrix z = net.SamplePrior(40, rng);
+  Matrix x = TwoModeData(40, rng);
+  const VaeNet::Posterior post = net.EncodeConst(x);
+  const Matrix want = net.LogRatioRowsConst(x, post, z);
+
+  nn::ScratchArena arena;
+  Matrix into;
+  net.LogRatioRowsConstInto(x, post, z, &into, &arena);
+  Matrix logits;
+  net.DecodeLogitsConstInto(z, &logits, &arena);
+  Matrix from_logits;
+  VaeNet::LogRatioRowsFromLogitsInto(logits, x, post, z, &from_logits);
+
+  ASSERT_EQ(want.rows(), 40u);
+  ASSERT_EQ(into.rows(), want.rows());
+  ASSERT_EQ(from_logits.rows(), want.rows());
+  EXPECT_EQ(std::memcmp(into.data(), want.data(), want.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(from_logits.data(), want.data(),
+                        want.size() * sizeof(float)),
+            0);
 }
 
 TEST(VaeNetTest, VrsTrainStepTracksAcceptance) {
