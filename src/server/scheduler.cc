@@ -70,9 +70,20 @@ void RequestScheduler::RunStrand(uint64_t key) {
       strand.queue.pop_front();
     }
     task();
+    bool more = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       --pending_;
+      more = !strands_[key].queue.empty();
+    }
+    // One task per turn while other work waits for a lane: the strand goes
+    // to the back of the pool queue, so a busy strand delays another
+    // session's query, open or ack by at most one task. With nothing
+    // waiting the runner just continues; that is always so on a pool
+    // without workers, whose inline Submit would otherwise recurse here.
+    if (more && pool_->queued() > 0) {
+      pool_->Submit([this, key] { RunStrand(key); });
+      return;
     }
   }
 }

@@ -19,9 +19,15 @@ namespace deepaqp::server {
 /// free. Sessions therefore need no internal locking — every touch of a
 /// Session object is posted to its strand.
 ///
-/// A strand never occupies a pool thread while idle: the runner task drains
-/// the strand's queue and exits, and the next Post re-submits. Tasks must
-/// not block on other strands' work (the underlying pool requirement).
+/// A strand never occupies a pool thread while idle, nor for more than one
+/// task while other work waits for a lane: after each task the runner
+/// re-submits itself at the tail of the pool queue if its strand has more
+/// work and the pool has queued tasks, and exits when its queue is empty
+/// (the next Post re-submits). So a strand with a long chain of tasks (a
+/// refining stream) delays another strand's task by at most one task. With
+/// no queued work (always so on a pool without workers, whose Submit runs
+/// inline) the runner keeps draining its queue. Tasks must not block on
+/// other strands' work (the underlying pool requirement).
 class RequestScheduler {
  public:
   /// Uses `pool` for execution; with nullptr the process-global pool is

@@ -187,38 +187,38 @@ std::shared_ptr<AqpServer::SessionState> AqpServer::FindSession(
   return it == sessions_.end() ? nullptr : it->second;
 }
 
-void AqpServer::ScheduleStep(uint64_t session_id,
-                             const std::shared_ptr<SessionState>& state) {
-  util::Status posted = scheduler_.PostInternal(session_id, [this, state,
-                                                             session_id] {
-    // The state is published before the creation task is posted; if that
-    // Post failed (server/enqueue fault) a concurrently enqueued task can
-    // run against a never-built session.
-    if (state->session == nullptr) {
-      state->Send(MakeError(session_id, 0, SessionMissing(session_id)));
-      return;
-    }
-    std::vector<ServerMessage> errors;
-    std::vector<DataFrame> frames = state->session->Step(registry_, &errors);
-    for (const ServerMessage& e : errors) state->Send(e);
-    for (DataFrame& frame : frames) {
-      ServerMessage msg;
-      msg.kind = ServerMessageKind::kData;
-      msg.session = state->session->id();
-      msg.channel = frame.channel;
-      msg.data = std::move(frame);
-      state->Send(msg);
-    }
-    state->open_streams.store(state->session->open_streams(),
-                              std::memory_order_relaxed);
-    // No self-repost: after one step every stream is either window-full,
-    // waiting for acks, or finished — all states only an incoming event
-    // (ack, next query) can change, and each incoming event schedules the
-    // next step.
-  });
-  if (!posted.ok()) {
-    state->Send(MakeError(session_id, 0, posted));
+void AqpServer::StepSession(const std::shared_ptr<SessionState>& state) {
+  Session& session = *state->session;
+  std::vector<ServerMessage> errors;
+  std::vector<DataFrame> frames = session.Step(registry_, &errors);
+  for (const ServerMessage& e : errors) state->Send(e);
+  for (DataFrame& frame : frames) {
+    ServerMessage msg;
+    msg.kind = ServerMessageKind::kData;
+    msg.session = session.id();
+    msg.channel = frame.channel;
+    msg.data = std::move(frame);
+    state->Send(msg);
   }
+  // A stream that can refine has no client event coming (its consumer
+  // waits for the next frame), so the session re-posts itself. A queued
+  // continuation re-checks when it runs, so one per session is enough.
+  while (!state->continuation_queued && session.CanRefine()) {
+    util::Status posted =
+        scheduler_.PostInternal(session.id(), [this, state] {
+          state->continuation_queued = false;
+          StepSession(state);
+        });
+    if (posted.ok()) {
+      state->continuation_queued = true;
+      break;
+    }
+    errors.clear();
+    session.FailFrontStream(posted, &errors);
+    for (const ServerMessage& e : errors) state->Send(e);
+  }
+  state->open_streams.store(session.open_streams(),
+                            std::memory_order_relaxed);
 }
 
 void AqpServer::HandleQuery(const ClientMessage& message,
@@ -247,8 +247,8 @@ void AqpServer::HandleQuery(const ClientMessage& message,
   const double max_relative_ci = message.max_relative_ci;
   const uint64_t session_id = message.session;
   util::Status posted =
-      scheduler_.Post(message.session, [state, session_id, channel, sql,
-                                        max_relative_ci] {
+      scheduler_.Post(message.session, [this, state, session_id, channel,
+                                        sql, max_relative_ci] {
         if (state->session == nullptr) {
           state->Send(
               MakeError(session_id, channel, SessionMissing(session_id)));
@@ -260,19 +260,16 @@ void AqpServer::HandleQuery(const ClientMessage& message,
           state->Send(MakeError(state->session->id(), channel, status));
           return;
         }
-        state->open_streams.store(state->session->open_streams(),
-                                  std::memory_order_relaxed);
         ServerMessage started;
         started.kind = ServerMessageKind::kQueryStarted;
         started.session = state->session->id();
         started.channel = channel;
         state->Send(started);
+        StepSession(state);
       });
   if (!posted.ok()) {
     sink->Deliver(MakeError(message.session, channel, posted));
-    return;
   }
-  ScheduleStep(message.session, state);
 }
 
 void AqpServer::HandleAck(const ClientMessage& message,
@@ -288,19 +285,20 @@ void AqpServer::HandleAck(const ClientMessage& message,
   const AckFrame ack = message.ack;
   const uint64_t session_id = message.session;
   util::Status posted =
-      scheduler_.Post(message.session, [state, session_id, ack] {
+      scheduler_.Post(message.session, [this, state, session_id, ack] {
         if (state->session == nullptr) {
           state->Send(
               MakeError(session_id, ack.channel, SessionMissing(session_id)));
           return;
         }
+        // The ack may open the window, retire the front stream (promoting a
+        // pipelined successor) or make retransmits due; the step acts on it.
         state->session->HandleAck(ack);
+        StepSession(state);
       });
   if (!posted.ok()) {
     sink->Deliver(MakeError(message.session, ack.channel, posted));
-    return;
   }
-  ScheduleStep(message.session, state);
 }
 
 void AqpServer::HandleCloseSession(const ClientMessage& message,
@@ -330,6 +328,12 @@ void AqpServer::HandleCloseSession(const ClientMessage& message,
   const uint64_t session_id = message.session;
   util::Status posted =
       scheduler_.PostInternal(session_id, [state, sink, closed] {
+        // A closed session refines nothing more: its streams go, so a
+        // continuation still queued behind this task finds no work.
+        if (state->session != nullptr) {
+          state->session->AbortOpenStreams(
+              util::Status::Unavailable("session closed"), nullptr);
+        }
         state->SetSink(sink);
         state->open_streams.store(0, std::memory_order_relaxed);
         state->Send(closed);
@@ -363,7 +367,7 @@ void AqpServer::HandleResumeSession(const ClientMessage& message,
   // deliveries to the old sink. Exempt from the admission bound: a resume
   // is recovery, not new load.
   util::Status posted =
-      scheduler_.PostInternal(session_id, [state, sink, session_id] {
+      scheduler_.PostInternal(session_id, [this, state, sink, session_id] {
         state->SetSink(sink);
         ServerMessage resumed;
         resumed.kind = ServerMessageKind::kSessionResumed;
@@ -373,14 +377,13 @@ void AqpServer::HandleResumeSession(const ClientMessage& message,
           state->Send(MakeError(session_id, 0, SessionMissing(session_id)));
           return;
         }
+        // The replay marks frames resend-due; the step transmits them.
         state->session->ReplayUnacked();
+        StepSession(state);
       });
   if (!posted.ok()) {
     sink->Deliver(MakeError(session_id, 0, posted));
-    return;
   }
-  // The replay marked frames resend-due; a step transmits them.
-  ScheduleStep(session_id, state);
 }
 
 void AqpServer::DetachSink(const std::shared_ptr<MessageSink>& sink) {

@@ -33,7 +33,10 @@ namespace deepaqp::server {
 /// Handle is cheap and non-blocking: session work (estimate computation,
 /// frame transmission, retransmits) happens on the session's scheduler
 /// strand, and responses can reach the sink from those threads at any time
-/// after Handle returns.
+/// after Handle returns. A query's first estimate is computed on the pool
+/// the session holds and sent before any pool growth; each later
+/// refinement is one strand task, so other sessions' requests interleave
+/// with a long stream instead of waiting for all of it.
 ///
 /// Connection supervision contract: sessions are decoupled from
 /// connections. kSessionOpened carries a resumption token; when a
@@ -128,6 +131,9 @@ class AqpServer {
     /// Open-stream count mirrored out of the strand after every step so
     /// drain/admission probes never have to block on a strand.
     std::atomic<size_t> open_streams{0};
+    /// A continuation step is queued on the strand. Read and written only
+    /// on the strand, so a refining session keeps at most one queued.
+    bool continuation_queued = false;
 
     /// The delivery target, swapped on resume/detach. Guarded by its own
     /// mutex because transports detach from their own threads while strand
@@ -143,14 +149,17 @@ class AqpServer {
 
   std::shared_ptr<SessionState> FindSession(uint64_t session_id) const;
 
-  /// Posts a strand task that steps `state`'s session and delivers whatever
-  /// it produced. No self-repost: Step() pumps until every stream is
-  /// window-full, waiting for acks, or finished — states only an incoming
-  /// event (ack, next query) can change, and each event schedules the next
-  /// step. Exempt from the per-strand admission bound (internal progress
-  /// must never be shed).
-  void ScheduleStep(uint64_t session_id,
-                    const std::shared_ptr<SessionState>& state);
+  /// Runs on the session's strand, after the task's own event (query,
+  /// ack, resume) was applied: steps the session once (at most one
+  /// refinement), delivers what the step produced, and while the front
+  /// stream can still refine posts a continuation that steps again. Being
+  /// a separate strand task, it lets the scheduler hand the lane to waiting
+  /// work between refinements. Continuations are exempt from the per-strand
+  /// admission bound (internal progress must never be shed); one that
+  /// cannot be posted at all fails its stream with an error on the
+  /// stream's channel, since no event might ever resume it and it would
+  /// block every later query of the session.
+  void StepSession(const std::shared_ptr<SessionState>& state);
 
   void HandleOpenSession(const ClientMessage& message,
                          const std::shared_ptr<MessageSink>& sink);

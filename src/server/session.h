@@ -23,11 +23,14 @@ namespace deepaqp::server {
 /// Queries are precision-on-demand streams: StartQuery opens a channel and
 /// Step() pushes one refining estimate per call while the channel window
 /// has room, so a slow consumer (unacked frames) pauses estimate generation
-/// instead of buffering unboundedly. Streams of one session execute
-/// strictly in submission order — a later query starts refining only after
-/// the earlier stream pushed its final estimate, which keeps the pool
-/// growth trajectory (and therefore every estimate) bit-identical to a
-/// direct AqpClient::QueryRefineStep loop issuing the same sequence.
+/// instead of buffering unboundedly. A stream's first estimate is computed
+/// on the pool the session already holds; the pool growth each estimate
+/// asks for is paid by the next Step (AqpClient::QueryRefineStep defers
+/// it). Streams of one session execute strictly in submission order — a
+/// later query starts refining only after the earlier stream pushed its
+/// final estimate, which keeps the pool growth trajectory (and therefore
+/// every estimate) bit-identical to a direct AqpClient::QueryRefineStep
+/// loop issuing the same sequence.
 class Session {
  public:
   /// Binds to `snapshot` (current registry version of `model_name`).
@@ -48,9 +51,11 @@ class Session {
   util::Status StartQuery(uint64_t channel, const std::string& sql,
                           double max_relative_ci);
 
-  /// True when any stream still has estimates to compute or frames to
-  /// (re)transmit — i.e. another Step is worth scheduling.
-  bool HasWork() const;
+  /// True when the front stream can compute another estimate now: it has
+  /// not pushed its final one and its window has room. While this holds,
+  /// the owner must schedule another Step — no client event is due to
+  /// trigger one (the consumer is waiting for the frame this Step makes).
+  bool CanRefine() const;
 
   /// One cooperative scheduling step:
   ///  1. Registry staleness probe: at a stream boundary (no open stream has
@@ -60,15 +65,24 @@ class Session {
   ///     in-flight stream keeps its generator and its monotonic
   ///     pool_rows/precision trajectory; the old refcounted snapshot serves
   ///     until the stream retires.
-  ///  2. The front stream computes refinements while its window has room.
-  ///  3. Due frames of every open stream are collected for transmission.
-  /// Steps repeat while retirement promotes a fresh front stream, so a
-  /// pipelined query starts refining in the same step that completed its
-  /// predecessor (no client event would arrive to trigger another step).
-  /// Returns the frames to send; failed streams are reported through
-  /// `errors` (one ServerMessage::kError each) and dropped.
+  ///  2. When CanRefine(), the front stream computes exactly one refining
+  ///     estimate (first generating the pool growth its previous estimate
+  ///     deferred) and pushes it.
+  ///  3. Due frames of every open stream are collected for transmission,
+  ///     and streams whose final frame is acknowledged retire.
+  /// So a step costs at most one refinement, and its frame leaves as soon
+  /// as it is computed. Returns the frames to send; failed streams are
+  /// reported through `errors` (one ServerMessage::kError each) and
+  /// dropped.
   std::vector<DataFrame> Step(const ModelRegistry& registry,
                               std::vector<ServerMessage>* errors);
+
+  /// Fails the front stream with `reason` (reported through `errors`) and
+  /// drops it; the next queued stream becomes the front. The server uses it
+  /// when it cannot schedule the Step a refining stream needs, so no stream
+  /// is left open that nothing will resume.
+  void FailFrontStream(const util::Status& reason,
+                       std::vector<ServerMessage>* errors);
 
   /// Routes an acknowledgment to its stream (advancing the logical clock;
   /// retransmission timeouts are measured in received-ack events, not wall
@@ -102,7 +116,6 @@ class Session {
     aqp::AggregateQuery query;
     double max_relative_ci = 0.0;
     ChannelProducer producer;
-    bool exhausted = false;  ///< final estimate pushed
 
     QueryStream(uint64_t channel_id, const ChannelProducer::Options& options)
         : channel(channel_id), producer(channel_id, options) {}

@@ -44,6 +44,23 @@ util::Result<CrossMatchResult> CrossMatchTest(
   if (util::FailpointTriggered("stats/cross_match")) {
     return util::FailpointError("stats/cross_match");
   }
+  // A non-finite coordinate (e.g. a poisoned projection) has no distance
+  // the matcher could order; ragged rows have none at all.
+  const size_t dim = sample_d.front().size();
+  for (const auto* sample : {&sample_d, &sample_m}) {
+    for (const auto& p : *sample) {
+      if (p.size() != dim) {
+        return util::Status::InvalidArgument(
+            "cross-match points must all have the same dimension");
+      }
+      for (double x : p) {
+        if (!std::isfinite(x)) {
+          return util::Status::InvalidArgument(
+              "cross-match points must be finite");
+        }
+      }
+    }
+  }
   // Pool points with labels; drop one at random if the total is odd.
   std::vector<std::vector<double>> points;
   std::vector<int> label;

@@ -26,8 +26,9 @@ struct CrossMatchResult {
 };
 
 /// Runs the cross-match test on two point sets (rows are points, all of the
-/// same dimension). If the pooled count is odd one point is dropped at
-/// random (Rosenbaum's convention). Sizes need not be equal. The matching
+/// same dimension, every coordinate finite; otherwise InvalidArgument). If
+/// the pooled count is odd one point is dropped at random (Rosenbaum's
+/// convention). Sizes need not be equal. The matching
 /// uses the exact solver for pooled n <= 20, the 2-opt heuristic otherwise
 /// (validity is unaffected; see matching.h).
 util::Result<CrossMatchResult> CrossMatchTest(

@@ -21,8 +21,60 @@ util::Status ValidateDistances(const DistanceMatrix& dist) {
     if (row.size() != n) {
       return util::Status::InvalidArgument("distance matrix must be square");
     }
+    // NaN compares false both ways, which breaks the greedy sort's strict
+    // weak ordering and leaves DP states unreachable.
+    for (double w : row) {
+      if (!std::isfinite(w)) {
+        return util::Status::InvalidArgument(
+            "matching requires finite distances");
+      }
+    }
   }
   return util::Status::OK();
+}
+
+/// The exact solver's bitmask DP over a matrix ValidateDistances accepted,
+/// with n <= 22. The 3-opt sub-solves call it directly: their 6x6 blocks
+/// come from an already validated matrix.
+util::Result<std::vector<int>> ExactMatchingDp(const DistanceMatrix& dist) {
+  const int n = static_cast<int>(dist.size());
+  const uint32_t full = (n == 32) ? 0xFFFFFFFFu : ((1u << n) - 1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best(full + 1, kInf);
+  std::vector<std::pair<int, int>> choice(full + 1, {-1, -1});
+  best[0] = 0.0;
+  for (uint32_t mask = 0; mask < full; ++mask) {
+    if (best[mask] == kInf) continue;
+    // First unmatched node must pair with someone: canonical ordering
+    // prevents revisiting permutations.
+    int i = 0;
+    while (mask & (1u << i)) ++i;
+    for (int j = i + 1; j < n; ++j) {
+      if (mask & (1u << j)) continue;
+      const uint32_t next = mask | (1u << i) | (1u << j);
+      const double w = best[mask] + dist[i][j];
+      if (w < best[next]) {
+        best[next] = w;
+        choice[next] = {i, j};
+      }
+    }
+  }
+  std::vector<int> mate(n, -1);
+  uint32_t mask = full;
+  while (mask != 0) {
+    const auto [i, j] = choice[mask];
+    if (i < 0) {
+      // Finite weights whose sums overflow to +inf never improve on an
+      // unreached state.
+      return util::Status::InvalidArgument(
+          "matching weight overflows a double");
+    }
+    mate[i] = j;
+    mate[j] = i;
+    mask &= ~(1u << i);
+    mask &= ~(1u << j);
+  }
+  return mate;
 }
 
 }  // namespace
@@ -103,7 +155,7 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
     return improved;
   };
 
-  auto three_opt_pass = [&] {
+  auto three_opt_pass = [&]() -> util::Result<bool> {
     bool improved = false;
     const auto pairs = collect_pairs();
     const size_t k = pairs.size();
@@ -126,11 +178,11 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
               sub[i][j] = dist[nodes[i]][nodes[j]];
             }
           }
-          auto best = ExactMinWeightPerfectMatching(sub);
-          DEEPAQP_CHECK(best.ok());
-          if (MatchingWeight(sub, *best) < current - 1e-12) {
+          DEEPAQP_ASSIGN_OR_RETURN(std::vector<int> best,
+                                   ExactMatchingDp(sub));
+          if (MatchingWeight(sub, best) < current - 1e-12) {
             for (int i = 0; i < 6; ++i) {
-              mate[nodes[i]] = nodes[(*best)[i]];
+              mate[nodes[i]] = nodes[best[i]];
             }
             improved = true;
           }
@@ -143,7 +195,8 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
   for (;;) {
     while (two_opt_pass()) {
     }
-    if (!three_opt_pass()) break;
+    DEEPAQP_ASSIGN_OR_RETURN(const bool improved, three_opt_pass());
+    if (!improved) break;
   }
   return mate;
 }
@@ -151,43 +204,11 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
 util::Result<std::vector<int>> ExactMinWeightPerfectMatching(
     const DistanceMatrix& dist) {
   DEEPAQP_RETURN_IF_ERROR(ValidateDistances(dist));
-  const int n = static_cast<int>(dist.size());
-  if (n > 22) {
+  if (dist.size() > 22) {
     return util::Status::InvalidArgument(
         "exact matching limited to n <= 22 nodes");
   }
-  const uint32_t full = (n == 32) ? 0xFFFFFFFFu : ((1u << n) - 1);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> best(full + 1, kInf);
-  std::vector<std::pair<int, int>> choice(full + 1, {-1, -1});
-  best[0] = 0.0;
-  for (uint32_t mask = 0; mask < full; ++mask) {
-    if (best[mask] == kInf) continue;
-    // First unmatched node must pair with someone: canonical ordering
-    // prevents revisiting permutations.
-    int i = 0;
-    while (mask & (1u << i)) ++i;
-    for (int j = i + 1; j < n; ++j) {
-      if (mask & (1u << j)) continue;
-      const uint32_t next = mask | (1u << i) | (1u << j);
-      const double w = best[mask] + dist[i][j];
-      if (w < best[next]) {
-        best[next] = w;
-        choice[next] = {i, j};
-      }
-    }
-  }
-  std::vector<int> mate(n, -1);
-  uint32_t mask = full;
-  while (mask != 0) {
-    const auto [i, j] = choice[mask];
-    DEEPAQP_CHECK_GE(i, 0);
-    mate[i] = j;
-    mate[j] = i;
-    mask &= ~(1u << i);
-    mask &= ~(1u << j);
-  }
-  return mate;
+  return ExactMatchingDp(dist);
 }
 
 double MatchingWeight(const DistanceMatrix& dist,

@@ -11,7 +11,8 @@ namespace deepaqp::stats {
 using DistanceMatrix = std::vector<std::vector<double>>;
 
 /// Computes a minimum-weight perfect matching of the complete graph given by
-/// `dist` (n must be even). Returns mate[i] = j with mate[j] = i.
+/// `dist` (n must be even, every distance finite; otherwise
+/// InvalidArgument). Returns mate[i] = j with mate[j] = i.
 ///
 /// Algorithm: deterministic greedy construction (globally cheapest edge
 /// first) followed by 2-opt pair-exchange refinement to a local optimum.

@@ -32,9 +32,13 @@ void ByteWriter::WriteI32Vector(const std::vector<int32_t>& v) {
 }
 
 Status ByteReader::Take(void* out, size_t n) {
-  if (pos_ + n > size_) {
+  // pos_ <= size_ always holds, so this cannot wrap (pos_ + n could).
+  if (n > size_ - pos_) {
     return Status::OutOfRange("ByteReader: truncated buffer");
   }
+  // memcpy needs valid pointers even for n == 0, and an empty vector's
+  // data() (a zero-length read's destination) may be null.
+  if (n == 0) return Status::OK();
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return Status::OK();

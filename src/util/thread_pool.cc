@@ -103,6 +103,11 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
+size_t ThreadPool::queued() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
+}
+
 void ThreadPool::WorkerLoop(size_t lane) {
   tls_in_pool_task = true;
   tls_lane_shard = lane_shard_[lane];

@@ -63,6 +63,10 @@ class ThreadPool {
   /// inline. Tasks must not block waiting for later-queued tasks.
   void Submit(std::function<void()> task);
 
+  /// Submitted tasks no worker has started yet: work waiting for a lane.
+  /// Always 0 with parallelism 1, whose Submit runs tasks inline.
+  size_t queued() const;
+
   /// Runs body(i) for every i in [begin, end) and blocks until all complete.
   /// The calling thread participates. The first exception thrown by any body
   /// is rethrown on the caller (remaining indices are skipped best-effort).
@@ -98,7 +102,7 @@ class ThreadPool {
   int pinned_workers_ = 0;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
 };

@@ -96,6 +96,7 @@ void AqpClient::SwapModel(std::shared_ptr<const VaeAqpModel> model) {
   // bit-identical (the contract server_session_test pins down).
   rng_ = util::Rng(options_.seed);
   pool_ = relation::Table(model_->tuple_encoder().schema());
+  pending_rows_ = 0;
   filter_cache_.clear();
   agg_cache_.clear();
   cache_stats_.filter_entries = 0;
@@ -127,6 +128,8 @@ util::Result<aqp::QueryResult> AqpClient::Query(const std::string& sql) {
 
 util::Result<aqp::QueryResult> AqpClient::Query(
     const aqp::AggregateQuery& query) {
+  GrowPool(pending_rows_);
+  pending_rows_ = 0;
   util::Result<aqp::QueryResult> result =
       aqp::ActiveEngine() != aqp::EngineKind::kVector
           // Scalar escape hatch: plain full scans, no cache.
@@ -220,8 +223,9 @@ util::Result<aqp::QueryResult> AqpClient::QueryRefineStep(
     *final = true;
     return result;
   }
+  // Answer now; the doubling is generated when the next call asks for it.
   *final = false;
-  GrowPool(pool_.num_rows() * 2);
+  pending_rows_ = pool_.num_rows() * 2;
   return result;
 }
 

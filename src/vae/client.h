@@ -72,7 +72,9 @@ class AqpClient {
   /// Answers a SQL-text query (see aqp::ParseSql for the dialect).
   util::Result<aqp::QueryResult> Query(const std::string& sql);
 
-  /// Answers an already-built query AST.
+  /// Answers an already-built query AST. A pool growth that the last
+  /// QueryRefineStep deferred is applied first, so the answer is computed
+  /// on the pool that step asked for.
   util::Result<aqp::QueryResult> Query(const aqp::AggregateQuery& query);
 
   /// Answers, growing the sample pool (up to options.max_samples) until
@@ -83,10 +85,15 @@ class AqpClient {
   /// One precision-on-demand refinement step — the resumable core of
   /// QueryWithMaxRelativeCi, exposed so a server can stream every
   /// intermediate estimate instead of only the final one. Answers `query`
-  /// on the current pool; when some group's relative CI still exceeds
-  /// `max_relative_ci` and the pool can grow, doubles the pool so the next
-  /// call refines further and sets *final = false; otherwise *final = true.
-  /// Calling QueryRefineStep until *final yields exactly the
+  /// on the pool the client holds, without generating anything first
+  /// beyond a growth an earlier step deferred. When some group's relative
+  /// CI still exceeds `max_relative_ci` and the pool can grow, sets
+  /// *final = false and records a doubling of the pool as pending; the
+  /// next Query or QueryRefineStep generates it before answering.
+  /// Otherwise *final = true and nothing is pending. So an estimate
+  /// returns before the growth it asks for is paid, and pool_size() right
+  /// after a step is the sample size that step's estimate was computed
+  /// on. Calling QueryRefineStep until *final yields exactly the
   /// QueryWithMaxRelativeCi trajectory (same pool growth, same answers).
   util::Result<aqp::QueryResult> QueryRefineStep(
       const aqp::AggregateQuery& query, double max_relative_ci, bool* final);
@@ -109,7 +116,8 @@ class AqpClient {
 
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Current pool size (grows monotonically).
+  /// Current pool size (grows monotonically). A growth deferred by
+  /// QueryRefineStep is not counted until the next query generates it.
   size_t pool_size() const { return pool_.num_rows(); }
 
   /// The pool itself (e.g., to hand to visualization code).
@@ -160,6 +168,9 @@ class AqpClient {
   double t_;
   util::Rng rng_;
   relation::Table pool_;
+  /// Pool size a non-final QueryRefineStep asked for; the next Query grows
+  /// to it first. 0 = nothing pending.
+  size_t pending_rows_ = 0;
   std::map<std::string, FilterCacheEntry> filter_cache_;
   std::map<std::string, AggCacheEntry> agg_cache_;
   CacheStats cache_stats_;

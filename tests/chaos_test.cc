@@ -5,6 +5,7 @@
 // configured but not firing the pipeline is bit-identical to a run with
 // the subsystem disabled.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "aqp/query.h"
+#include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "ensemble/ensemble_model.h"
 #include "ensemble/partitioning.h"
@@ -272,6 +274,30 @@ TEST_F(ChaosTest, CrossMatchFaultDegradesBiasEliminationAndWidensClientCi) {
   passed.outcome = vae::BiasEliminationOutcome::kPassed;
   client->NoteBiasElimination(passed);
   EXPECT_EQ(client->ci_inflation(), 1.0);
+}
+
+TEST_F(ChaosTest, NonFiniteProjectionDegradesBiasEliminationNotAborts) {
+  // Every GEMM output carries a NaN, so the latent points the cross-match
+  // test pairs are non-finite. The test refuses them with a Status rather
+  // than letting a NaN reach the matchers, and Algorithm 1 reports
+  // kDegraded. 8 points per side take the exact matcher, 20 the greedy +
+  // 3-opt one.
+  for (size_t points : {8u, 20u}) {
+    auto model = OpenHealthy();
+    ASSERT_TRUE(util::ConfigureFailpoints("nn/gemm=always").ok());
+    vae::BiasEliminationOptions beopts;
+    beopts.test_points = points;
+    beopts.max_iterations = 2;
+    auto be = vae::EliminateModelBias(*model, ChaosTable(), beopts);
+    util::DisableFailpoints();
+    ASSERT_TRUE(be.ok()) << be.status().ToString();
+    EXPECT_EQ(be->outcome, vae::BiasEliminationOutcome::kDegraded)
+        << points << " points per side";
+    EXPECT_FALSE(be->passed);
+    ASSERT_FALSE(be->warnings.empty());
+    EXPECT_NE(be->warnings.back().find("must be finite"), std::string::npos)
+        << be->warnings.back();
+  }
 }
 
 TEST_F(ChaosTest, ExhaustedIterationBudgetAlsoWidensClientCi) {
@@ -549,7 +575,94 @@ TEST_F(ChaosTest, ServerChannelSendFaultFailsStreamNotSession) {
   }
 }
 
+/// A pipe that arms a fail-point spec when the first DATA frame passes
+/// through it. Delivery runs on the session's strand, after the step that
+/// made the frame and before that step posts its continuation, so the next
+/// evaluation of an armed server site is that continuation's post.
+class ArmOnFirstDataPipe : public server::PipeTransport {
+ public:
+  explicit ArmOnFirstDataPipe(std::string spec) : spec_(std::move(spec)) {}
+
+  util::Status Deliver(const server::ServerMessage& message) override {
+    if (message.kind == server::ServerMessageKind::kData &&
+        !armed_.exchange(true)) {
+      EXPECT_TRUE(util::ConfigureFailpoints(spec_).ok());
+    }
+    return PipeTransport::Deliver(message);
+  }
+
+ private:
+  std::string spec_;
+  std::atomic<bool> armed_{false};
+};
+
+TEST_F(ChaosTest, ServerContinuationEnqueueFaultFailsStreamNotSession) {
+  server::AqpServer srv(ServerChaosOptions());
+  ASSERT_TRUE(srv.registry().Register("m", HealthyModelBytes()).ok());
+  auto pipe = std::make_shared<ArmOnFirstDataPipe>("server/enqueue=once");
+  uint64_t session = OpenServerSession(srv, pipe);
+  srv.WaitIdle();
+
+  // A precision no group meets: after its first frame the stream must
+  // refine again, with no client event due, so the session posts a
+  // continuation — which the armed fault refuses. Nothing is acked here, so
+  // no client request competes for the one-shot fault.
+  const std::string first_sql = "SELECT AVG(fare) FROM R";
+  server::ClientMessage query;
+  query.kind = server::ClientMessageKind::kQuery;
+  query.session = session;
+  query.sql = first_sql;
+  query.max_relative_ci = 1e-9;
+  srv.Handle(query, pipe);
+  server::ServerMessage started = pipe->Pop();
+  ASSERT_EQ(started.kind, server::ServerMessageKind::kQueryStarted)
+      << started.message;
+  server::ServerMessage frame = pipe->Pop();
+  ASSERT_EQ(frame.kind, server::ServerMessageKind::kData) << frame.message;
+  EXPECT_EQ(frame.data.seq, 0u);
+  EXPECT_FALSE(frame.data.final);
+  // The stream fails on its own channel instead of staying open with
+  // nothing left to resume it.
+  server::ServerMessage failed = pipe->Pop();
+  ASSERT_EQ(failed.kind, server::ServerMessageKind::kError);
+  EXPECT_EQ(failed.channel, started.channel);
+  EXPECT_NE(failed.message.find("injected fault"), std::string::npos)
+      << failed.message;
+  srv.WaitIdle();
+  EXPECT_EQ(srv.ActiveStreams(), 0u);
+  EXPECT_EQ(srv.num_sessions(), 1u);
+
+  // The session survives and its next query completes. The failed stream
+  // left one pool doubling pending, which the next query generates first:
+  // the answer is a direct client's after one refinement of the first
+  // query.
+  const std::string next_sql =
+      "SELECT AVG(fare) FROM R WHERE trip_distance > 1";
+  auto next = RunServerQuery(srv, pipe, session, next_sql, 0.1);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+
+  auto direct = vae::AqpClient::Open(HealthyModelBytes(),
+                                     ServerChaosOptions().client);
+  ASSERT_TRUE(direct.ok());
+  auto first_query = aqp::ParseSql(first_sql, (*direct)->pool());
+  ASSERT_TRUE(first_query.ok());
+  bool final = false;
+  ASSERT_TRUE((*direct)->QueryRefineStep(*first_query, 1e-9, &final).ok());
+  ASSERT_FALSE(final);
+  auto next_query = aqp::ParseSql(next_sql, (*direct)->pool());
+  ASSERT_TRUE(next_query.ok());
+  server::Estimate expected;
+  do {
+    auto result = (*direct)->QueryRefineStep(*next_query, 0.1, &final);
+    ASSERT_TRUE(result.ok());
+    expected.pool_rows = (*direct)->pool_size();
+    expected.result = std::move(*result);
+  } while (!final);
+  EXPECT_EQ(server::EncodeEstimate(*next), server::EncodeEstimate(expected));
+}
+
 // ---------------------------------------------------------------------------
+// Socket transport faults: every injected socket-layer failure has a blast// ---------------------------------------------------------------------------
 // Socket transport faults: every injected socket-layer failure has a blast
 // radius of exactly one connection (and at most one dial). Sessions outlive
 // their connections, other clients never notice, the process never dies.

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -372,6 +374,84 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   EXPECT_EQ(session.model_version(), 2u);
 }
 
+/// A precision target no group can meet: the stream refines until the pool
+/// reaches max_samples.
+QuerySpec UnmeetableSpec() {
+  return {DefaultQueries()[0].sql, 1e-9};
+}
+
+TEST(ServerSessionTest, FirstStepSendsOneFrameBeforeAnyGrowth) {
+  EngineGuard guard;
+  ModelRegistry registry;
+  auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+  ASSERT_TRUE(model.ok());
+  registry.Install("taxi", std::move(*model));
+  auto snap = registry.Get("taxi");
+  ASSERT_TRUE(snap.ok());
+  Session session(1, "taxi", *snap, ClientOptions(),
+                  ChannelProducer::Options{});
+  const QuerySpec spec = UnmeetableSpec();
+  ASSERT_TRUE(session.StartQuery(7, spec.sql, spec.max_relative_ci).ok());
+  ASSERT_TRUE(session.CanRefine());
+
+  // The first estimate is computed on the pool the session already holds
+  // and leaves in a frame of its own: the window has room for 8 frames, but
+  // the step stops after one, before generating the growth that estimate
+  // asked for.
+  std::vector<ServerMessage> errors;
+  std::vector<DataFrame> frames = session.Step(registry, &errors);
+  ASSERT_TRUE(errors.empty());
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].seq, 0u);
+  EXPECT_FALSE(frames[0].final);
+  EXPECT_EQ(session.client().pool_size(), ClientOptions().initial_samples);
+  auto estimate = DecodeEstimate(frames[0].payload);
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_EQ(estimate->pool_rows, ClientOptions().initial_samples);
+  // The stream can refine further with no client event due, which is what
+  // tells the server to post a continuation.
+  EXPECT_TRUE(session.CanRefine());
+
+  // The next step pays the deferred doubling, then sends one more frame.
+  frames = session.Step(registry, &errors);
+  ASSERT_TRUE(errors.empty());
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].seq, 1u);
+  EXPECT_EQ(session.client().pool_size(),
+            2 * ClientOptions().initial_samples);
+}
+
+TEST(ServerSessionTest, UnmeetableStreamWalksToMaxSamplesAcrossThreadCounts) {
+  EngineGuard guard;
+  const QuerySpec spec = UnmeetableSpec();
+  const std::vector<std::vector<uint8_t>> reference =
+      ReferenceStream(ModelBytes(), {spec});
+
+  // Each estimate reports the sample size it was computed on: the held
+  // pool first, then one doubling per frame up to max_samples.
+  std::vector<uint64_t> rows;
+  for (const auto& payload : reference) {
+    auto estimate = DecodeEstimate(payload);
+    ASSERT_TRUE(estimate.ok());
+    rows.push_back(estimate->pool_rows);
+  }
+  EXPECT_EQ(rows, (std::vector<uint64_t>{400, 800, 1600, 3200, 6400}));
+
+  for (int threads : {1, 4, 8}) {
+    util::SetGlobalThreads(threads);
+    AqpServer server(ServerOptions());
+    auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+    ASSERT_TRUE(model.ok());
+    server.registry().Install("taxi", std::move(*model));
+    auto pipe = std::make_shared<PipeTransport>();
+    uint64_t session = OpenSession(server, pipe);
+    StreamOutcome outcome = RunQuery(server, pipe, session, spec);
+    ASSERT_TRUE(outcome.error.ok()) << outcome.error.message();
+    EXPECT_EQ(outcome.payloads, reference) << "at --threads " << threads;
+  }
+  util::SetGlobalThreads(0);  // restore hardware default
+}
+
 TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
   EngineGuard guard;
   const QuerySpec spec = DefaultQueries()[0];
@@ -642,6 +722,58 @@ TEST(ServerSessionTest, SchedulerQueueBoundShedsWithServerBusy) {
   release.set_value();
   scheduler.WaitIdle();
   EXPECT_EQ(ran.load(), 5);  // everything accepted ran; the shed task never did
+}
+
+TEST(ServerSessionTest, BusyStrandYieldsToAnotherStrandAfterEachTask) {
+  // One worker: strands take turns on a single lane.
+  util::ThreadPool pool(2);
+  RequestScheduler scheduler(&pool);
+
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto record = [&](const char* name) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(name);
+  };
+  ASSERT_TRUE(scheduler
+                  .Post(1,
+                        [&] {
+                          started.set_value();
+                          gate.wait();
+                          record("a1");
+                        })
+                  .ok());
+  started.get_future().wait();  // the lane is busy with a1
+  ASSERT_TRUE(scheduler.Post(1, [&] { record("a2"); }).ok());
+  ASSERT_TRUE(scheduler.Post(2, [&] { record("b1"); }).ok());
+
+  // Strand 2 was queued on the pool while strand 1 held the lane; after a1
+  // strand 1 goes to the back of the queue, so b1 runs before a2.
+  release.set_value();
+  scheduler.WaitIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "a2"}));
+}
+
+TEST(ServerSessionTest, SerialPoolDrainsLongSelfPostingStrandWithoutRecursion) {
+  // A pool of parallelism 1 runs Submit inline. A strand runner that
+  // yielded through Submit there would nest one stack frame per task; this
+  // chain is long enough that it would overflow the stack.
+  util::ThreadPool pool(1);
+  RequestScheduler scheduler(&pool);
+  constexpr int kTasks = 100000;
+  int ran = 0;
+  std::function<void()> task = [&] {
+    if (++ran < kTasks) {
+      ASSERT_TRUE(scheduler.PostInternal(3, task).ok());
+    }
+  };
+  ASSERT_TRUE(scheduler.PostInternal(3, task).ok());
+  scheduler.WaitIdle();
+  EXPECT_EQ(ran, kTasks);
+  EXPECT_EQ(scheduler.pending(), 0u);
 }
 
 }  // namespace

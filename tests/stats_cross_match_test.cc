@@ -1,6 +1,7 @@
 #include "stats/cross_match.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,32 @@ TEST(CrossMatchTest, RejectsTooSmallSamples) {
   auto a = GaussianCloud(1, 2, 0, 2);
   auto b = GaussianCloud(10, 2, 0, 3);
   EXPECT_FALSE(CrossMatchTest(a, b, rng).ok());
+}
+
+TEST(CrossMatchTest, NonFinitePointIsInvalidArgumentAtBothMatcherSizes) {
+  // 8 + 8 pooled points take the exact matcher, 20 + 20 the greedy + 3-opt
+  // one; a single bad coordinate must fail the test, not the process.
+  for (size_t per_side : {8u, 20u}) {
+    for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      auto a = GaussianCloud(per_side, 3, 0.0, 21);
+      auto b = GaussianCloud(per_side, 3, 0.0, 22);
+      b[per_side / 2][1] = bad;
+      util::Rng rng(5);
+      auto result = CrossMatchTest(a, b, rng);
+      ASSERT_FALSE(result.ok()) << per_side << " per side";
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(CrossMatchTest, RaggedPointsAreInvalidArgument) {
+  auto a = GaussianCloud(8, 3, 0.0, 23);
+  auto b = GaussianCloud(8, 3, 0.0, 24);
+  b[3].pop_back();
+  util::Rng rng(6);
+  auto result = CrossMatchTest(a, b, rng);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(CrossMatchTest, SameDistributionUsuallyPasses) {

@@ -1,6 +1,7 @@
 #include "stats/matching.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,37 @@ TEST(MatchingTest, RejectsOddOrEmptyInput) {
   EXPECT_FALSE(MinWeightPerfectMatching(odd).ok());
   DistanceMatrix ragged = {{0, 1}, {1}};
   EXPECT_FALSE(MinWeightPerfectMatching(ragged).ok());
+}
+
+TEST(MatchingTest, NonFiniteDistanceIsInvalidArgumentNotAbort) {
+  // A NaN weight breaks the greedy sort's ordering and leaves the exact
+  // solver's DP states unreachable; both solvers refuse it up front. 16
+  // nodes is an exact-solver size, 40 a greedy + 3-opt one.
+  for (size_t n : {16u, 40u}) {
+    for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      DistanceMatrix d = RandomEuclideanInstance(n, 3, 31);
+      d[2][5] = d[5][2] = bad;
+      auto greedy = MinWeightPerfectMatching(d);
+      ASSERT_FALSE(greedy.ok()) << n;
+      EXPECT_EQ(greedy.status().code(), util::StatusCode::kInvalidArgument);
+      if (n <= 22) {
+        auto exact = ExactMinWeightPerfectMatching(d);
+        ASSERT_FALSE(exact.ok()) << n;
+        EXPECT_EQ(exact.status().code(), util::StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
+TEST(MatchingTest, OverflowingWeightIsAnErrorNotAnAbort) {
+  // Finite weights whose sum overflows to +inf leave the full matching
+  // unreachable in the exact DP.
+  const double huge = std::numeric_limits<double>::max();
+  DistanceMatrix d(4, std::vector<double>(4, huge));
+  for (size_t i = 0; i < 4; ++i) d[i][i] = 0.0;
+  auto exact = ExactMinWeightPerfectMatching(d);
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(MatchingTest, TrivialTwoNodes) {

@@ -3,6 +3,7 @@
 #include "util/flags.h"
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -30,6 +31,31 @@ TEST(ThreadPoolTest, SerialPoolRunsTasksInline) {
   int ran = 0;
   pool.Submit([&ran] { ++ran; });
   EXPECT_EQ(ran, 1);  // no workers: Submit executes before returning
+}
+
+TEST(ThreadPoolTest, QueuedCountsTasksWaitingForALane) {
+  ThreadPool serial(1);
+  serial.Submit([] {});
+  EXPECT_EQ(serial.queued(), 0u);  // ran inline, never queued
+
+  std::atomic<int> ran{0};
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  {
+    ThreadPool pool(2);  // one worker
+    pool.Submit([&] {
+      started.set_value();
+      gate.wait();
+      ran.fetch_add(1);
+    });
+    started.get_future().wait();
+    EXPECT_EQ(pool.queued(), 0u);  // the worker took it
+    pool.Submit([&] { ran.fetch_add(1); });
+    EXPECT_EQ(pool.queued(), 1u);  // waits for the busy lane
+    release.set_value();
+  }  // destructor drains the queue and joins the worker before the gate dies
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPoolTest, ParallelismBelowOneClampsToOne) {
