@@ -13,6 +13,7 @@
 // so the perf trajectory of the kernel layer is tracked per commit.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +30,19 @@
 #include "vae/vae_model.h"
 
 namespace deepaqp::bench {
+
+/// The bench prologue, called once a main has read all of its own flags:
+/// applies --pin (first, so the rebuilt pool plans placement under it),
+/// then --threads, then rejects every flag nothing read. Exits 2 on a bad
+/// --pin value or an unknown argument.
+inline void Init(const util::Flags& flags) {
+  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    std::exit(2);
+  }
+  util::ApplyThreadsFlag(flags);
+  flags.RejectUnread();
+}
 
 /// The two evaluation datasets of Sec. VI-A, synthesized at `rows`.
 inline relation::Table MakeDataset(const std::string& name, size_t rows,

@@ -18,14 +18,11 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
   const int epochs = static_cast<int>(flags.GetInt("epochs", 6));
   const auto max_rows = static_cast<size_t>(
       flags.GetInt("max_rows", 200000));
+  bench::BenchReporter reporter(flags, "fig12", /*print_rows=*/false);
+  bench::Init(flags);
 
   struct Regime {
     const char* name;
@@ -39,7 +36,6 @@ int main(int argc, char** argv) {
       {"VRS accept=0.5 (T<t0)", true, 0.5, 5},
   };
 
-  bench::BenchReporter reporter(flags, "fig12", /*print_rows=*/false);
   const std::string dataset = "census";
   for (size_t rows = 2000; rows <= max_rows; rows *= 10) {
     relation::Table table = bench::MakeDataset(dataset, rows);

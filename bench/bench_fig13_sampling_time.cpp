@@ -6,19 +6,17 @@
 //
 //   ./bench_fig13_sampling_time [--rows 15000] [--epochs 10]
 //                               [--max_samples 100000] [--json]
-//                               [--kernel naive|blocked|simd|auto]
 //                               [--quant off|fp16|int8|all]
 //
 // --json additionally writes BENCH_fig13.json with one uniform record per
 // (kernel backend, quant mode, n, T) point: ns_per_op is sampling
 // nanoseconds per generated tuple and samples_per_sec the corresponding
-// throughput. Without --kernel the sweep runs once per fast GEMM backend
-// available on this machine (blocked, plus simd when the CPU has the ISA),
-// so the JSON records the per-backend sampling-throughput trajectory;
-// --kernel pins a single backend. --quant likewise pins (or, with "all",
-// sweeps) the decoder quantization mode; the default is whatever
-// DEEPAQP_QUANT selected, so a plain run keeps its historical single-mode
-// shape.
+// throughput. The sweep runs once per GEMM backend available on this
+// machine (blocked, plus simd when the CPU has the ISA), so the JSON
+// records the per-backend sampling-throughput trajectory. --quant pins
+// (or, with "all", sweeps) the decoder quantization mode; the default is
+// whatever DEEPAQP_QUANT selected, so a plain run keeps its historical
+// single-mode shape.
 
 #include <cmath>
 
@@ -32,24 +30,8 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
-  std::vector<nn::GemmKernelKind> backends;
-  if (flags.Has("kernel")) {
-    if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
-    backends = {nn::ActiveGemmKernel()};
-  } else {
-    backends = {nn::GemmKernelKind::kBlocked};
-    if (nn::SimdKernelAvailable()) {
-      backends.push_back(nn::GemmKernelKind::kSimd);
-    }
-  }
+  std::vector<nn::GemmKernelKind> backends = {nn::GemmKernelKind::kBlocked};
+  if (nn::SimdKernelAvailable()) backends.push_back(nn::GemmKernelKind::kSimd);
   std::vector<nn::QuantMode> quant_modes;
   const std::string quant_flag = flags.GetString("quant", "");
   if (quant_flag == "all") {
@@ -70,8 +52,9 @@ int main(int argc, char** argv) {
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const auto max_samples =
       static_cast<size_t>(flags.GetInt("max_samples", 100000));
-
   bench::BenchReporter reporter(flags, "fig13", /*print_rows=*/false);
+  bench::Init(flags);
+
   const std::string dataset = "census";
   relation::Table table = bench::MakeDataset(dataset, rows);
   auto model =

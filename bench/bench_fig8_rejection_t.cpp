@@ -14,16 +14,12 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 15000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 12));
   const auto queries = static_cast<size_t>(flags.GetInt("queries", 100));
   const int trials = static_cast<int>(flags.GetInt("trials", 8));
   const double sample_frac = flags.GetDouble("sample_frac", 0.05);
+  bench::Init(flags);
 
   for (const std::string dataset : {"census", "flights"}) {
     relation::Table table = bench::MakeDataset(dataset, rows);

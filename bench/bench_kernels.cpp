@@ -1,12 +1,13 @@
-// Kernel-layer throughput tracking: the simd (AVX2/FMA or NEON), blocked,
-// and reference GEMM backends on the VAE's real shapes (batch 256 x hidden
-// 64-512), the fused bias+activation forward vs the unfused pipeline, and
-// the vectorized sigmoid. Emits one row per backend per shape so
-// BENCH_kernels.json records the per-backend perf trajectory. Doubles as
-// the CI correctness gate: every measured GEMM shape is first checked —
-// for every non-naive backend available on this machine — against
-// nn::ReferenceGemm and the binary exits nonzero if the relative error
-// (normalized by the accumulation magnitude |A| @ |B|) exceeds 1e-5.
+// Kernel-layer throughput tracking: the simd (AVX2/FMA or NEON) and blocked
+// GEMM backends against nn::ReferenceGemm (the gemm_naive baseline row) on
+// the VAE's real shapes (batch 256 x hidden 64-512), the fused
+// bias+activation forward vs the unfused pipeline, and the vectorized
+// sigmoid. Emits one row per backend per shape so BENCH_kernels.json
+// records the per-backend perf trajectory. Doubles as the CI correctness
+// gate: every measured GEMM shape is first checked — for every backend
+// available on this machine — against nn::ReferenceGemm and the binary
+// exits nonzero if the relative error (normalized by the accumulation
+// magnitude |A| @ |B|) exceeds 1e-5.
 //
 //   ./bench_kernels [--json] [--quick] [--threads N]
 //
@@ -69,11 +70,9 @@ double GemmRelError(const nn::Matrix& a, bool ta, const nn::Matrix& b,
 
 constexpr double kTolerance = 1e-5;
 
-/// Backends to measure and gate on this machine, naive first (it is the
-/// baseline every speedup is stated against).
+/// Backends to measure and gate on this machine.
 std::vector<nn::GemmKernelKind> MeasuredBackends() {
-  std::vector<nn::GemmKernelKind> kinds = {nn::GemmKernelKind::kNaive,
-                                           nn::GemmKernelKind::kBlocked};
+  std::vector<nn::GemmKernelKind> kinds = {nn::GemmKernelKind::kBlocked};
   if (nn::SimdKernelAvailable()) {
     kinds.push_back(nn::GemmKernelKind::kSimd);
   } else {
@@ -87,18 +86,10 @@ std::vector<nn::GemmKernelKind> MeasuredBackends() {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
-  if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   const bool quick = flags.GetBool("quick", false);
   const double budget = quick ? 0.05 : 0.3;
   bench::BenchReporter reporter(flags, "kernels");
+  bench::Init(flags);
   util::Rng rng(424242);
 
   const std::vector<nn::GemmKernelKind> backends = MeasuredBackends();
@@ -126,31 +117,32 @@ int main(int argc, char** argv) {
     char shape[64];
     std::snprintf(shape, sizeof(shape), "m=%zu k=%zu n=%zu", m, k, n);
 
-    double ns_naive = 0.0;
+    nn::Matrix c;
+    const double ns_naive = bench::MeasureNsPerOp(
+        [&] { nn::ReferenceGemm(a, false, b, false, 1.0f, 0.0f, &c); },
+        budget);
+    reporter.Add({"gemm_naive", shape, ns_naive, flops / ns_naive, 1});
     for (nn::GemmKernelKind kind : backends) {
       nn::SetGemmKernel(kind);
-      nn::Matrix c;
-      if (kind != nn::GemmKernelKind::kNaive) {
-        nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c);
-        worst_err =
-            std::max(worst_err, GemmRelError(a, false, b, false, ref, c));
-      }
+      // Gated on a fresh (zeroed) matrix, so an output element the backend
+      // leaves unwritten reads 0 and fails the gate.
+      nn::Matrix got;
+      nn::Gemm(a, false, b, false, 1.0f, 0.0f, &got);
+      worst_err =
+          std::max(worst_err, GemmRelError(a, false, b, false, ref, got));
       const double ns = bench::MeasureNsPerOp(
-          [&] { nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c); }, budget);
-      if (kind == nn::GemmKernelKind::kNaive) ns_naive = ns;
+          [&] { nn::Gemm(a, false, b, false, 1.0f, 0.0f, &got); }, budget);
       const std::string name =
           std::string("gemm_") + nn::GemmKernelKindName(kind);
       reporter.Add({name, shape, ns, flops / ns, 1});
-      if (kind != nn::GemmKernelKind::kNaive) {
-        std::printf("  -> %s speedup %.2fx at hidden=%zu (%.2f GFLOP/s)\n",
-                    nn::GemmKernelKindName(kind), ns_naive / ns, hidden,
-                    flops / ns);
-      }
+      std::printf("  -> %s speedup %.2fx at hidden=%zu (%.2f GFLOP/s)\n",
+                  nn::GemmKernelKindName(kind), ns_naive / ns, hidden,
+                  flops / ns);
     }
   }
 
   // Correctness gate over all four transpose combinations (odd shape that
-  // straddles every panel boundary), for every non-naive backend.
+  // straddles every panel boundary), for every backend.
   {
     const size_t m = 129, k = 67, n = 33;
     for (bool ta : {false, true}) {
@@ -162,7 +154,6 @@ int main(int argc, char** argv) {
         nn::Matrix ref;
         nn::ReferenceGemm(a, ta, b, tb, 1.0f, 0.0f, &ref);
         for (nn::GemmKernelKind kind : backends) {
-          if (kind == nn::GemmKernelKind::kNaive) continue;
           nn::SetGemmKernel(kind);
           nn::Matrix got;
           nn::Gemm(a, ta, b, tb, 1.0f, 0.0f, &got);
@@ -175,7 +166,6 @@ int main(int argc, char** argv) {
 
   // --- Fused bias+activation forward vs the unfused pipeline, per backend.
   for (nn::GemmKernelKind kind : backends) {
-    if (kind == nn::GemmKernelKind::kNaive) continue;
     const size_t batch = 256;
     const size_t hidden = quick ? 64 : 256;
     const nn::Matrix x = RandomMatrix(batch, hidden, rng);
@@ -295,14 +285,21 @@ int main(int argc, char** argv) {
     }
     char shape[32];
     std::snprintf(shape, sizeof(shape), "n=%zu", count);
+    const double ns_scalar = bench::MeasureNsPerOp(
+        [&] {
+          for (size_t i = 0; i < count; ++i) {
+            outv[i] = 1.0f / (1.0f + std::exp(-in[i]));
+          }
+        },
+        budget);
+    reporter.Add({"sigmoid_scalar", shape,
+                  ns_scalar / static_cast<double>(count), 0.0, 1});
     for (nn::GemmKernelKind kind : backends) {
       nn::SetGemmKernel(kind);
       const double ns = bench::MeasureNsPerOp(
           [&] { nn::SigmoidVec(in.data(), outv.data(), count); }, budget);
       const std::string name =
-          kind == nn::GemmKernelKind::kNaive
-              ? std::string("sigmoid_scalar")
-              : std::string("sigmoid_") + nn::GemmKernelKindName(kind);
+          std::string("sigmoid_") + nn::GemmKernelKindName(kind);
       reporter.Add({name, shape, ns / static_cast<double>(count), 0.0, 1});
     }
   }

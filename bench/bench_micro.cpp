@@ -4,7 +4,6 @@
 // records (name, shape, ns/op, GFLOP/s, threads) of bench_common.h:
 //
 //   ./bench_micro [--json] [--quick] [--threads N]
-//                 [--kernel naive|blocked|simd|auto]
 //
 // --json writes BENCH_micro.json for the CI perf archive.
 
@@ -24,20 +23,12 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
-  if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   const bool quick = flags.GetBool("quick", false);
   const double budget = quick ? 0.05 : 0.3;
   bench::BenchReporter reporter(flags, "micro");
+  bench::Init(flags);
 
-  // Square GEMM through the active kernel (the --kernel flag selects it).
+  // Square GEMM through the active kernel (chosen from the CPU).
   for (size_t n : {64u, 128u, 256u}) {
     util::Rng rng(1);
     nn::Matrix a(n, n);

@@ -16,14 +16,10 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 8000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 6));
   const int subsets = static_cast<int>(flags.GetInt("subsets", 20));
+  bench::Init(flags);
   const std::vector<double> deltas = {-10.0, 0.0, 10.0};
 
   std::printf("Table I: fraction of random group-subsets where "

@@ -161,20 +161,17 @@ void MeasurePlacement(bench::BenchReporter& reporter) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 20000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 4));
   const auto samples = static_cast<size_t>(flags.GetInt("samples", 60000));
   const auto points = static_cast<size_t>(flags.GetInt("points", 600));
   const int max_threads = static_cast<int>(flags.GetInt("max_threads", 8));
+  bench::BenchReporter reporter(flags, "threads", /*print_rows=*/false);
+  bench::Init(flags);
 
   // The classic sweep runs under whatever --pin / DEEPAQP_PIN selected
   // (off unless asked); the pinned sweep below covers all three policies.
   const util::PinPolicy base_policy = util::ActivePinPolicy();
-  bench::BenchReporter reporter(flags, "threads", /*print_rows=*/false);
   std::printf("topology: %s\n", util::Topology().ToString().c_str());
 
   const relation::Table table = bench::MakeDataset("census", rows);

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const int k = static_cast<int>(flags.GetInt("k", 3));
   const auto num_queries = static_cast<size_t>(flags.GetInt("queries", 40));
+  flags.RejectUnread();
 
   relation::Table table = data::GenerateCensus({.rows = rows, .seed = 5});
   const auto attr =

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   util::ApplyThreadsFlag(flags);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 8000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 15));
+  flags.RejectUnread();
 
   relation::Table table = data::GenerateCensus({.rows = rows, .seed = 9});
   vae::VaeAqpOptions options;

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 15000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 15));
   const double target_ci = flags.GetDouble("target_ci", 0.02);
+  flags.RejectUnread();
 
   relation::Table table = data::GenerateCensus({.rows = rows, .seed = 19});
   const relation::Schema& schema = table.schema();

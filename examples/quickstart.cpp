@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 10000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 15));
   const double sample_frac = flags.GetDouble("sample_frac", 0.01);
+  flags.RejectUnread();
 
   // 1. The "server side": a relation we want to explore.
   std::printf("Generating %zu taxi trips...\n", rows);

@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 20000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 20));
   const double sample_frac = flags.GetDouble("sample_frac", 0.02);
+  flags.RejectUnread();
 
   relation::Table table = data::GenerateTaxi({.rows = rows, .seed = 11});
   const relation::Schema& schema = table.schema();

@@ -40,10 +40,9 @@ double ReplicateValue(const AggregateQuery& query, const Moments& m,
 /// allocation. Replicate values are bit-identical to running
 /// EstimateFromSample on the materialized resample, because each group's
 /// moments see the same additions in the same (pick) order.
-void VectorReplicates(
-    const AggregateQuery& query, const relation::Table& sample,
-    size_t population_rows, const BootstrapOptions& options,
-    std::map<int32_t, std::vector<double>>* replicate_values) {
+void Replicates(const AggregateQuery& query, const relation::Table& sample,
+                size_t population_rows, const BootstrapOptions& options,
+                std::map<int32_t, std::vector<double>>* replicate_values) {
   const size_t ns = sample.num_rows();
   const bool group_by = query.IsGroupBy();
   const bool quantile = query.agg == AggFunc::kQuantile;
@@ -91,8 +90,8 @@ void VectorReplicates(
             query, m, quantile ? &acc.values[0] : nullptr, scale));
       } else if (query.agg == AggFunc::kCount ||
                  query.agg == AggFunc::kSum) {
-        // Empty-selection convention: the scalar path's EstimateFromSample
-        // reports 0 for COUNT/SUM, so the replicate contributes 0.
+        // Empty-selection convention: EstimateFromSample reports 0 for
+        // COUNT/SUM, so the replicate contributes 0.
         (*replicate_values)[-1].push_back(0.0);
       }
     } else {
@@ -102,26 +101,6 @@ void VectorReplicates(
             ReplicateValue(query, acc.m[slot],
                            quantile ? &acc.values[slot] : nullptr, scale));
       }
-    }
-  }
-}
-
-/// The scalar oracle: materialize every resample with Gather and run the
-/// full estimator on it (`DEEPAQP_ENGINE=scalar`).
-void ScalarReplicates(
-    const AggregateQuery& query, const relation::Table& sample,
-    size_t population_rows, const BootstrapOptions& options,
-    std::map<int32_t, std::vector<double>>* replicate_values) {
-  const size_t ns = sample.num_rows();
-  util::Rng rng(options.seed);
-  std::vector<size_t> pick(ns);
-  for (int b = 0; b < options.resamples; ++b) {
-    for (size_t i = 0; i < ns; ++i) pick[i] = rng.NextIndex(ns);
-    relation::Table resample = sample.Gather(pick);
-    auto est = EstimateFromSample(query, resample, population_rows);
-    if (!est.ok()) continue;
-    for (const GroupValue& g : est->groups) {
-      (*replicate_values)[g.group].push_back(g.value);
     }
   }
 }
@@ -140,13 +119,7 @@ util::Result<QueryResult> BootstrapEstimate(const AggregateQuery& query,
       QueryResult point, EstimateFromSample(query, sample, population_rows));
 
   std::map<int32_t, std::vector<double>> replicate_values;
-  if (ActiveEngine() == EngineKind::kVector) {
-    VectorReplicates(query, sample, population_rows, options,
-                     &replicate_values);
-  } else {
-    ScalarReplicates(query, sample, population_rows, options,
-                     &replicate_values);
-  }
+  Replicates(query, sample, population_rows, options, &replicate_values);
 
   const double lo_q = (1.0 - options.confidence) / 2.0;
   const double hi_q = 1.0 - lo_q;

@@ -1,86 +1,28 @@
-// The vectorized query engine behind the AQP layer. One dispatch point
-// (ActiveEngine) selects between:
+// The vectorized query engine behind the AQP layer: per-condition selection
+// kernels producing bitmaps (one tight loop per condition over the raw
+// column, comparisons auto-vectorized), word-wise AND/OR predicate
+// combination, and a fused filter+aggregate pass into dense array-indexed
+// group accumulators.
 //
-//  * kScalar — the seed row-at-a-time path: Predicate::Matches per row,
-//    std::map group accumulators. Kept verbatim as the correctness oracle
-//    and the `DEEPAQP_ENGINE=scalar` escape hatch.
-//  * kVector — per-condition selection kernels producing bitmaps (one tight
-//    loop per condition over the raw column, comparisons auto-vectorized),
-//    word-wise AND/OR predicate combination, and a fused filter+aggregate
-//    pass into dense array-indexed group accumulators.
-//
-// Determinism contract: the vector path visits matching rows in ascending
-// row order and each group's moments see exactly the same sequence of
-// additions as the scalar path, so results are bit-identical between the
-// engines and across `--threads` settings. The only threaded piece is the
-// selection scan on large tables (EvalPredicate fans out over fixed
-// word-aligned row blocks, node-sharded for NUMA locality): the bitmap it
-// builds is exact boolean state, so parallelizing it cannot change any
-// result. All floating-point accumulation (AccumulateSelected) stays
-// strictly serial in ascending row order.
+// Determinism contract: matching rows are visited in ascending row order, so
+// each group's moments see exactly the additions of a row-at-a-time scan
+// (tests/engine_reference.cc keeps that scan as the oracle), at every
+// `--threads` setting. The only threaded piece is the selection scan on
+// large tables (EvalPredicate fans out over fixed word-aligned row blocks,
+// node-sharded for NUMA locality): the bitmap it builds is exact boolean
+// state, so parallelizing it cannot change any result. All floating-point
+// accumulation (AccumulateSelected) stays strictly serial in ascending row
+// order.
 
 #include "aqp/engine.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <string>
 
 #include "aqp/metrics.h"
-#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace deepaqp::aqp {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------------
-
-EngineKind KindFromEnv() {
-  const char* env = std::getenv("DEEPAQP_ENGINE");
-  if (env == nullptr || env[0] == '\0') return EngineKind::kVector;
-  const std::string value(env);
-  if (value == "scalar") return EngineKind::kScalar;
-  if (value == "vector") return EngineKind::kVector;
-  std::fprintf(stderr,
-               "DEEPAQP_ENGINE='%s' not recognized (scalar|vector); "
-               "keeping 'vector'\n",
-               env);
-  return EngineKind::kVector;
-}
-
-EngineKind& EngineSlot() {
-  static EngineKind kind = KindFromEnv();
-  return kind;
-}
-
-}  // namespace
-
-EngineKind ActiveEngine() { return EngineSlot(); }
-
-void SetEngine(EngineKind kind) { EngineSlot() = kind; }
-
-const char* EngineName(EngineKind kind) {
-  return kind == EngineKind::kScalar ? "scalar" : "vector";
-}
-
-void ApplyEngineFlag(const util::Flags& flags) {
-  const std::string value = flags.GetString("engine", "");
-  if (value.empty()) return;
-  if (value == "scalar") {
-    SetEngine(EngineKind::kScalar);
-  } else if (value == "vector") {
-    SetEngine(EngineKind::kVector);
-  } else {
-    std::fprintf(stderr, "--engine=%s not recognized (scalar|vector)\n",
-                 value.c_str());
-    std::exit(2);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // SelectionVector
@@ -244,13 +186,6 @@ void EvalPredicate(const Predicate& pred, const relation::Table& table,
 size_t CountMatches(const Predicate& pred, const relation::Table& table) {
   const size_t n = table.num_rows();
   if (pred.conditions.empty()) return n;
-  if (ActiveEngine() == EngineKind::kScalar) {
-    size_t hits = 0;
-    for (size_t r = 0; r < n; ++r) {
-      if (pred.Matches(table, r)) ++hits;
-    }
-    return hits;
-  }
   SelectionVector sel;
   EvalPredicate(pred, table, 0, n, &sel);
   return sel.CountRange(0, n);
@@ -289,7 +224,7 @@ void AccumulateSelected(const AggregateQuery& query,
   if (!group_by && meas == nullptr) {
     // Scalar COUNT: a popcount, not a per-row loop. The moments stay exact
     // integers, so folding the block count in one addition is bit-identical
-    // to the scalar path's repeated `+= 1.0`.
+    // to a per-row loop's repeated `+= 1.0`.
     const size_t hits = sel.CountRange(begin, end);
     Moments& m0 = acc->m[0];
     m0.count += hits;
@@ -299,7 +234,7 @@ void AccumulateSelected(const AggregateQuery& query,
   }
 
   // Walk set bits in ascending row order: per-group additions happen in the
-  // same sequence as the scalar row loop, so the sums are bit-identical.
+  // same sequence as a row-at-a-time loop, so the sums are bit-identical.
   constexpr size_t kWordBits = SelectionVector::kWordBits;
   const std::vector<uint64_t>& words = sel.words();
   size_t w = begin / kWordBits;
@@ -347,47 +282,21 @@ std::vector<GroupMoments> ToGroupMoments(const DenseGroupMoments& acc,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Shared accumulation walk (both engines)
-// ---------------------------------------------------------------------------
-
 std::vector<GroupMoments> AccumulateQuery(const AggregateQuery& query,
                                           const relation::Table& table) {
   const size_t n = table.num_rows();
   const bool group_by = query.IsGroupBy();
   const bool quantile = query.agg == AggFunc::kQuantile;
-
-  if (ActiveEngine() == EngineKind::kVector) {
-    SelectionVector sel;
-    EvalPredicate(query.filter, table, 0, n, &sel);
-    DenseGroupMoments acc;
-    const size_t groups =
-        group_by ? static_cast<size_t>(table.Cardinality(
-                       static_cast<size_t>(query.group_by_attr)))
-                 : 1;
-    acc.EnsureGroups(std::max<size_t>(groups, 1), quantile);
-    AccumulateSelected(query, table, sel, 0, n, &acc);
-    return ToGroupMoments(acc, group_by);
-  }
-
-  // Scalar oracle: row-at-a-time filter, map-based accumulation.
-  const auto gattr = static_cast<size_t>(std::max(query.group_by_attr, 0));
-  const auto mattr = static_cast<size_t>(std::max(query.measure_attr, 0));
-  std::map<int32_t, GroupMoments> acc;
-  for (size_t r = 0; r < n; ++r) {
-    if (!query.filter.Matches(table, r)) continue;
-    const int32_t key = group_by ? table.CatCode(r, gattr) : -1;
-    GroupMoments& g = acc[key];
-    g.group = key;
-    const double x =
-        query.agg == AggFunc::kCount ? 1.0 : table.NumValue(r, mattr);
-    g.m.Add(x);
-    if (quantile) g.values.push_back(x);
-  }
-  std::vector<GroupMoments> out;
-  out.reserve(acc.size());
-  for (auto& [key, g] : acc) out.push_back(std::move(g));
-  return out;
+  SelectionVector sel;
+  EvalPredicate(query.filter, table, 0, n, &sel);
+  DenseGroupMoments acc;
+  const size_t groups =
+      group_by ? static_cast<size_t>(table.Cardinality(
+                     static_cast<size_t>(query.group_by_attr)))
+               : 1;
+  acc.EnsureGroups(std::max<size_t>(groups, 1), quantile);
+  AccumulateSelected(query, table, sel, 0, n, &acc);
+  return ToGroupMoments(acc, group_by);
 }
 
 // ---------------------------------------------------------------------------

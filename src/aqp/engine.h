@@ -8,42 +8,22 @@
 #include "relation/table.h"
 #include "util/status.h"
 
-namespace deepaqp::util {
-class Flags;
-}  // namespace deepaqp::util
-
 namespace deepaqp::aqp {
 
-/// Which query-evaluation implementation backs ExecuteExact,
-/// EstimateFromSample, Selectivity, BootstrapEstimate, and
-/// OnlineAggregator::AddBatch.
-///
-/// * kVector (default): per-condition selection-vector kernels over the
-///   columnar Table (tight loops producing bitmaps, AND/OR-combined per
-///   Predicate), fused filter+aggregate passes, and dense array-indexed
-///   group accumulators. Every group's measure contributions accumulate in
-///   ascending row order — exactly the order of the scalar path — so
-///   results are bit-identical to kScalar, at every `--threads` setting.
-/// * kScalar: the seed row-at-a-time Predicate::Matches loop with
-///   std::map group accumulators, kept as the correctness oracle and the
-///   `DEEPAQP_ENGINE=scalar` escape hatch.
-enum class EngineKind { kScalar, kVector };
+/// The query engine behind ExecuteExact, EstimateFromSample, Selectivity,
+/// BootstrapEstimate, and OnlineAggregator::AddBatch: per-condition
+/// selection-vector kernels over the columnar Table (tight loops producing
+/// bitmaps, AND/OR-combined per Predicate), fused filter+aggregate passes,
+/// and dense array-indexed group accumulators. Every group's measure
+/// contributions accumulate in ascending row order, so results are
+/// bit-identical at every `--threads` setting and to the row-at-a-time
+/// reference loops the tests keep (tests/engine_reference.h). There is one
+/// engine; run reports print its name.
+enum class EngineKind { kVector };
 
-/// Active engine. Initialized once from the DEEPAQP_ENGINE environment
-/// variable ("scalar" or "vector"; anything else warns and keeps the
-/// default kVector).
-EngineKind ActiveEngine();
+inline EngineKind ActiveEngine() { return EngineKind::kVector; }
 
-/// Overrides the active engine. Not safe while queries are in flight; set
-/// it up front (tests, benches, main()).
-void SetEngine(EngineKind kind);
-
-const char* EngineName(EngineKind kind);
-
-/// Reads the `--engine=scalar|vector` flag and applies it (bench/tool
-/// binaries; mirrors nn::ApplyKernelFlag). Unknown values abort with a
-/// usage message.
-void ApplyEngineFlag(const util::Flags& flags);
+inline const char* EngineName(EngineKind) { return "vector"; }
 
 /// Row-selection bitmap: bit r is set iff row r of the scanned table
 /// matches a predicate. Stored as 64-bit words so combining conditions and
@@ -85,8 +65,8 @@ class SelectionVector {
 void EvalPredicate(const Predicate& pred, const relation::Table& table,
                    size_t begin, size_t end, SelectionVector* sel);
 
-/// Number of rows of `table` matching `pred`, dispatched on ActiveEngine()
-/// (the result is engine-independent; predicates are exact boolean tests).
+/// Number of rows of `table` matching `pred` (one EvalPredicate pass and a
+/// popcount).
 size_t CountMatches(const Predicate& pred, const relation::Table& table);
 
 /// Per-group running moments of the measure (or of the 0/1 membership
@@ -116,7 +96,7 @@ struct Moments {
 
 /// Accumulated state of one result group: moments of the measure plus, for
 /// QUANTILE queries, the retained per-row measure values (in ascending row
-/// order — the same order the scalar path retains them).
+/// order).
 struct GroupMoments {
   int32_t group = -1;
   Moments m;
@@ -125,9 +105,9 @@ struct GroupMoments {
 
 /// Dense array-indexed group accumulator: slot g holds the moments of group
 /// code g (slot 0 for scalar queries). Group codes are small non-negative
-/// ints, so this replaces the scalar path's per-row std::map lookup with an
-/// array index. Reused across calls (bootstrap replicates, the client
-/// cache) without reallocating.
+/// ints, so this replaces a per-row std::map lookup with an array index.
+/// Reused across calls (bootstrap replicates, the client cache) without
+/// reallocating.
 struct DenseGroupMoments {
   std::vector<Moments> m;
   std::vector<std::vector<double>> values;  // per-group, QUANTILE only
@@ -152,13 +132,13 @@ void AccumulateSelected(const AggregateQuery& query,
 
 /// Converts a dense accumulator into the sparse sorted-by-code group list
 /// the finalizers consume. Groups with no matching rows are absent, and a
-/// scalar query's single slot becomes group -1 — exactly the scalar path's
-/// std::map contents.
+/// scalar query's single slot becomes group -1 — exactly what a std::map
+/// keyed by group code would hold.
 std::vector<GroupMoments> ToGroupMoments(const DenseGroupMoments& acc,
                                          bool group_by);
 
-/// Walks `table` once and returns per-group moments for `query`,
-/// dispatched on ActiveEngine(). The caller validates the query first.
+/// Walks `table` once (EvalPredicate, then AccumulateSelected) and returns
+/// per-group moments for `query`. The caller validates the query first.
 std::vector<GroupMoments> AccumulateQuery(const AggregateQuery& query,
                                           const relation::Table& table);
 
@@ -170,8 +150,8 @@ QueryResult FinalizeExact(const AggregateQuery& query,
 
 /// Turns accumulated groups into EstimateFromSample's result: estimates
 /// scaled by population_rows / sample_rows with 95% CLT (or order-
-/// statistic, for QUANTILE) confidence intervals. Shares every formula
-/// with the scalar estimator path bit-for-bit.
+/// statistic, for QUANTILE) confidence intervals. Shared by
+/// EstimateFromSample and the client's query cache.
 QueryResult FinalizeEstimate(const AggregateQuery& query,
                              std::vector<GroupMoments> groups,
                              size_t sample_rows, size_t population_rows);

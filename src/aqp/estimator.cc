@@ -13,9 +13,9 @@ util::Result<QueryResult> EstimateFromSample(const AggregateQuery& query,
   if (ns == 0) {
     return util::Status::FailedPrecondition("empty sample");
   }
-  // Accumulation (engine-dispatched) and the estimate/CI formulas are the
-  // shared helpers in aqp/engine.h, so this path, ExecuteExact, and the
-  // bootstrap replicate loop all aggregate through the same code.
+  // Accumulation and the estimate/CI formulas are the shared helpers in
+  // aqp/engine.h, so this path, ExecuteExact, and the bootstrap replicate
+  // loop all aggregate through the same code.
   return FinalizeEstimate(query, AccumulateQuery(query, sample), ns,
                           population_rows);
 }

@@ -26,32 +26,20 @@ util::Status OnlineAggregator::AddBatch(const relation::Table& batch) {
   const auto gattr = static_cast<size_t>(std::max(query_.group_by_attr, 0));
   const auto mattr = static_cast<size_t>(std::max(query_.measure_attr, 0));
   const size_t n = batch.num_rows();
-
-  if (ActiveEngine() == EngineKind::kVector) {
-    // Filter the whole batch with the selection kernel, then merge only the
-    // matched rows — still in ascending row order, so the running moments
-    // are bit-identical to the scalar per-row loop.
-    SelectionVector sel;
-    EvalPredicate(query_.filter, batch, 0, n, &sel);
-    const int32_t* codes = group_by ? batch.CatColumn(gattr).data() : nullptr;
-    const double* meas = query_.agg == AggFunc::kCount
-                             ? nullptr
-                             : batch.NumColumn(mattr).data();
-    tuples_seen_ += n;
-    for (size_t r = 0; r < n; ++r) {
-      if (!sel.Test(r)) continue;
-      const int32_t key = group_by ? codes[r] : -1;
-      groups_[key].Add(meas == nullptr ? 1.0 : meas[r]);
-    }
-    return util::Status::OK();
-  }
-
+  // Filter the whole batch with the selection kernel, then merge only the
+  // matched rows in ascending row order, so the running moments do not
+  // depend on how the stream is split into batches.
+  SelectionVector sel;
+  EvalPredicate(query_.filter, batch, 0, n, &sel);
+  const int32_t* codes = group_by ? batch.CatColumn(gattr).data() : nullptr;
+  const double* meas = query_.agg == AggFunc::kCount
+                           ? nullptr
+                           : batch.NumColumn(mattr).data();
+  tuples_seen_ += n;
   for (size_t r = 0; r < n; ++r) {
-    ++tuples_seen_;
-    if (!query_.filter.Matches(batch, r)) continue;
-    const int32_t key = group_by ? batch.CatCode(r, gattr) : -1;
-    groups_[key].Add(query_.agg == AggFunc::kCount ? 1.0
-                                                   : batch.NumValue(r, mattr));
+    if (!sel.Test(r)) continue;
+    const int32_t key = group_by ? codes[r] : -1;
+    groups_[key].Add(meas == nullptr ? 1.0 : meas[r]);
   }
   return util::Status::OK();
 }

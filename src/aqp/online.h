@@ -23,11 +23,10 @@ class OnlineAggregator {
   OnlineAggregator(AggregateQuery query, size_t population_rows);
 
   /// Feeds one batch of uniform sample tuples. The batch schema must match
-  /// the first batch's schema; the query must validate against it. Under
-  /// the vector engine the filter runs as a selection-vector kernel over
-  /// the batch; matched rows still merge into the running moments in row
-  /// order, so the estimate stream is bit-identical to the scalar engine
-  /// at every batch split.
+  /// the first batch's schema; the query must validate against it. The
+  /// filter runs as a selection-vector kernel over the batch; matched rows
+  /// merge into the running moments in row order, so the estimate stream
+  /// is bit-identical at every batch split.
   util::Status AddBatch(const relation::Table& batch);
 
   /// Current estimate (same shape as EstimateFromSample's result). Fails

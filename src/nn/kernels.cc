@@ -1,9 +1,8 @@
 // The compute-kernel layer behind nn::Gemm, nn::ShardedGemmTN, and the
-// fused forward paths. Three implementations sit behind one dispatch:
+// fused forward paths. Two implementations sit behind one dispatch, with
+// ReferenceGemm (kernels_reference.cc, the seed repository's triple loop)
+// kept outside it as the correctness oracle:
 //
-//  * ReferenceGemm (kernels_reference.cc) — the seed repository's
-//    triple-loop kernels, kept verbatim as the correctness oracle and the
-//    `DEEPAQP_KERNEL=naive` escape hatch.
 //  * The blocked kernel (this file) — op(A)/op(B) are expressed as stride
 //    views (which folds all four transpose combinations into one code
 //    path), packed into contiguous panels, and consumed by a register-tiled
@@ -28,18 +27,14 @@
 #include "nn/kernels.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "nn/aligned_buffer.h"
 #include "nn/kernels_internal.h"
 #include "util/cpu_features.h"
 #include "util/failpoint.h"
-#include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -132,33 +127,8 @@ GemmKernelKind BestAvailableKernel() {
                                : GemmKernelKind::kBlocked;
 }
 
-GemmKernelKind KindFromEnv() {
-  const char* env = std::getenv("DEEPAQP_KERNEL");
-  if (env == nullptr || env[0] == '\0') return BestAvailableKernel();
-  GemmKernelKind kind;
-  const util::Status parsed = ParseGemmKernelKind(env, &kind);
-  if (!parsed.ok()) {
-    std::fprintf(stderr,
-                 "DEEPAQP_KERNEL='%s' not recognized "
-                 "(naive|blocked|simd|auto); keeping '%s'\n",
-                 env, GemmKernelKindName(BestAvailableKernel()));
-    return BestAvailableKernel();
-  }
-  if (kind == GemmKernelKind::kSimd && !SimdKernelAvailable()) {
-    // A faster-kernel request must never become SIGILL: degrade to the
-    // portable blocked kernel, loudly. (The --kernel flag path is strict
-    // instead — see ApplyKernelFlag.)
-    std::fprintf(stderr,
-                 "DEEPAQP_KERNEL=simd but this CPU/toolchain lacks the ISA "
-                 "(%s built in); falling back to 'blocked'\n",
-                 internal::SimdBackendIsa());
-    return GemmKernelKind::kBlocked;
-  }
-  return kind;
-}
-
 GemmKernelKind& KernelSlot() {
-  static GemmKernelKind kind = KindFromEnv();
+  static GemmKernelKind kind = BestAvailableKernel();
   return kind;
 }
 
@@ -313,8 +283,7 @@ void BlockedGemmDriver(const View& a, const View& b, size_t m, size_t k,
 
 namespace {
 
-/// Routes a packed-panel GEMM to the blocked or simd driver. Callers have
-/// already resolved kNaive separately.
+/// Routes a packed-panel GEMM to the blocked or simd driver.
 inline void PackedGemmDriver(GemmKernelKind kind, const View& a,
                              const View& b, size_t m, size_t k, size_t n,
                              float alpha, bool overwrite, const Epilogue* epi,
@@ -350,26 +319,16 @@ bool SimdKernelAvailable() {
 #endif
 }
 
-util::Status SetGemmKernelKind(GemmKernelKind kind) {
-  if (kind == GemmKernelKind::kSimd && !SimdKernelAvailable()) {
-    return util::Status::FailedPrecondition(
-        std::string("simd kernel unavailable: binary ISA '") +
-        internal::SimdBackendIsa() + "', cpu features '" +
-        util::CpuFeaturesToString(util::CpuInfo()) + "'");
-  }
-  KernelSlot() = kind;
-  return util::Status::OK();
-}
-
 void SetGemmKernel(GemmKernelKind kind) {
-  const util::Status status = SetGemmKernelKind(kind);
-  DEEPAQP_CHECK(status.ok());
+  DEEPAQP_CHECK(kind != GemmKernelKind::kSimd || SimdKernelAvailable())
+      << "simd kernel unavailable: binary ISA '" << internal::SimdBackendIsa()
+      << "', cpu features '" << util::CpuFeaturesToString(util::CpuInfo())
+      << "'";
+  KernelSlot() = kind;
 }
 
 const char* GemmKernelKindName(GemmKernelKind kind) {
   switch (kind) {
-    case GemmKernelKind::kNaive:
-      return "naive";
     case GemmKernelKind::kBlocked:
       return "blocked";
     case GemmKernelKind::kSimd:
@@ -378,40 +337,8 @@ const char* GemmKernelKindName(GemmKernelKind kind) {
   return "unknown";
 }
 
-util::Status ParseGemmKernelKind(std::string_view name,
-                                 GemmKernelKind* kind) {
-  if (name == "naive") {
-    *kind = GemmKernelKind::kNaive;
-  } else if (name == "blocked") {
-    *kind = GemmKernelKind::kBlocked;
-  } else if (name == "simd") {
-    *kind = GemmKernelKind::kSimd;
-  } else if (name == "auto") {
-    *kind = BestAvailableKernel();
-  } else {
-    return util::Status::InvalidArgument(
-        "kernel '" + std::string(name) +
-        "' not recognized (naive|blocked|simd|auto)");
-  }
-  return util::Status::OK();
-}
-
-util::Status ApplyKernelFlag(const util::Flags& flags) {
-  const std::string value = flags.GetString("kernel", "");
-  if (value.empty()) return util::Status::OK();
-  GemmKernelKind kind;
-  DEEPAQP_RETURN_IF_ERROR(ParseGemmKernelKind(value, &kind));
-  return SetGemmKernelKind(kind);
-}
-
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
           float alpha, float beta, Matrix* c) {
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    ReferenceGemm(a, trans_a, b, trans_b, alpha, beta, c);
-    MaybePoisonGemmOutput(c);
-    return;
-  }
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t k = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -428,8 +355,8 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
       for (size_t i = 0; i < c->size(); ++i) c->data()[i] *= beta;
     }
   }
-  PackedGemmDriver(kind, OpView(a, trans_a), OpView(b, trans_b), m, k, n,
-                   alpha, overwrite, nullptr, c->data(), c->cols());
+  PackedGemmDriver(ActiveGemmKernel(), OpView(a, trans_a), OpView(b, trans_b),
+                   m, k, n, alpha, overwrite, nullptr, c->data(), c->cols());
   MaybePoisonGemmOutput(c);
 }
 
@@ -455,25 +382,12 @@ void ShardedGemmTN(const Matrix& a, const Matrix& b, Matrix* c,
     const size_t hi = std::min(batch, lo + shard_rows);
     Matrix& p = partials[s];
     p = Matrix(a.cols(), b.cols());
-    if (kind != GemmKernelKind::kNaive) {
-      // Shard of the TN product as stride views: op(A) = A^T over rows
-      // [lo, hi), i.e. (i, kk) -> A(lo + kk, i); op(B) = B rows [lo, hi).
-      const View av{a.data() + lo * a.cols(), 1, a.cols()};
-      const View bv{b.data() + lo * b.cols(), b.cols(), 1};
-      PackedGemmDriver(kind, av, bv, a.cols(), hi - lo, b.cols(), 1.0f,
-                       /*overwrite=*/true, nullptr, p.data(), p.cols());
-    } else {
-      for (size_t kk = lo; kk < hi; ++kk) {
-        const float* arow = a.Row(kk);
-        const float* brow = b.Row(kk);
-        for (size_t i = 0; i < a.cols(); ++i) {
-          const float av = arow[i];
-          if (av == 0.0f) continue;
-          float* prow = p.Row(i);
-          for (size_t j = 0; j < b.cols(); ++j) prow[j] += av * brow[j];
-        }
-      }
-    }
+    // Shard of the TN product as stride views: op(A) = A^T over rows
+    // [lo, hi), i.e. (i, kk) -> A(lo + kk, i); op(B) = B rows [lo, hi).
+    const View av{a.data() + lo * a.cols(), 1, a.cols()};
+    const View bv{b.data() + lo * b.cols(), b.cols(), 1};
+    PackedGemmDriver(kind, av, bv, a.cols(), hi - lo, b.cols(), 1.0f,
+                     /*overwrite=*/true, nullptr, p.data(), p.cols());
   });
   for (const Matrix& p : partials) Axpy(1.0f, p, c);
 }
@@ -512,31 +426,16 @@ void FusedLinearForward(const Matrix& x, const Matrix& w, const Matrix& bias,
     DEEPAQP_CHECK_EQ(bias.rows(), 1u);
     DEEPAQP_CHECK_EQ(bias.cols(), w.cols());
   }
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    ReferenceGemm(x, false, w, false, 1.0f, 0.0f, out);
-    if (has_bias) AddRowBroadcast(bias, out);
-    ApplyActivation(act, leaky_slope, out->data(), out->size());
-    MaybePoisonGemmOutput(out);
-    return;
-  }
   out->Resize(x.rows(), w.cols());
   Epilogue epi{has_bias ? bias.data() : nullptr, act, leaky_slope};
-  PackedGemmDriver(kind, OpView(x, false), OpView(w, false), x.rows(),
-                   x.cols(), w.cols(), 1.0f, /*overwrite=*/true, &epi,
-                   out->data(), out->cols());
+  PackedGemmDriver(ActiveGemmKernel(), OpView(x, false), OpView(w, false),
+                   x.rows(), x.cols(), w.cols(), 1.0f, /*overwrite=*/true,
+                   &epi, out->data(), out->cols());
   MaybePoisonGemmOutput(out);
 }
 
 void SigmoidVec(const float* x, float* out, size_t n) {
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = 1.0f / (1.0f + std::exp(-x[i]));
-    }
-    return;
-  }
-  if (kind == GemmKernelKind::kSimd) {
+  if (ActiveGemmKernel() == GemmKernelKind::kSimd) {
     internal::SimdSigmoid(x, out, n);
     return;
   }

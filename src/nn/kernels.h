@@ -2,13 +2,10 @@
 #define DEEPAQP_NN_KERNELS_H_
 
 #include <cstddef>
-#include <string_view>
 
 #include "nn/matrix.h"
-#include "util/status.h"
 
 namespace deepaqp::util {
-class Flags;
 class Rng;  // util/rng.h; kept out of the explicit-ISA kernel TUs
 }  // namespace deepaqp::util
 
@@ -18,30 +15,22 @@ namespace deepaqp::nn {
 /// fused forward kernels.
 ///
 /// * kSimd: hand-vectorized micro-kernel (AVX2+FMA intrinsics on x86, NEON
-///   on aarch64) over the same packed-panel layout as kBlocked. Selected by
-///   default when the running CPU supports it (runtime detection via
-///   util::CpuInfo — never compile flags, so one binary runs everywhere).
-///   Differs from kBlocked only by FMA contraction inside each k step;
-///   bit-identical at every `--threads` setting and within the same 1e-5
+///   on aarch64) over the same packed-panel layout as kBlocked. Differs
+///   from kBlocked only by FMA contraction inside each k step; bit-identical
+///   at every `--threads` setting and within the same 1e-5
 ///   reference-relative contract (tests/nn_simd_backend_test.cc).
 /// * kBlocked: cache-blocked, panel-packed, register-tiled kernel compiled
-///   for the portable baseline ISA (auto-vectorized). Default on CPUs
-///   without a supported vector extension. Results differ from the naive
-///   kernel only by floating-point summation grouping (<= ~1e-5 relative on
-///   realistic shapes) and are bit-identical at every `--threads` setting
-///   for a fixed shape, because the block layout is a pure function of the
-///   shape and each output element keeps one fixed accumulation order.
-/// * kNaive: the original triple-loop reference kernels, kept as an escape
-///   hatch for debugging kernel regressions (`DEEPAQP_KERNEL=naive`).
-enum class GemmKernelKind { kNaive, kBlocked, kSimd };
+///   for the portable baseline ISA (auto-vectorized). Results differ from
+///   ReferenceGemm only by floating-point summation grouping (<= ~1e-5
+///   relative on realistic shapes) and are bit-identical at every
+///   `--threads` setting for a fixed shape, because the block layout is a
+///   pure function of the shape and each output element keeps one fixed
+///   accumulation order.
+enum class GemmKernelKind { kBlocked, kSimd };
 
-/// Active kernel. Initialized once from the DEEPAQP_KERNEL environment
-/// variable ("naive", "blocked", or "simd"); unset picks the best backend
-/// the running CPU supports (simd where available, else blocked). "simd"
-/// on hardware without a supported vector ISA warns and falls back to
-/// blocked — requesting a faster kernel must never turn into SIGILL.
-/// Unrecognized values warn to stderr and keep the auto-selected default;
-/// binaries that take --kernel get a hard error via ApplyKernelFlag.
+/// Active kernel. Chosen from the running CPU at first use (util::CpuInfo
+/// — never compile flags, so one binary runs everywhere): kSimd when
+/// SimdKernelAvailable(), else kBlocked. SetGemmKernel overrides it.
 GemmKernelKind ActiveGemmKernel();
 
 /// True when the SIMD backend is usable in this process: the binary carries
@@ -49,35 +38,19 @@ GemmKernelKind ActiveGemmKernel();
 /// maskable with DEEPAQP_CPU_DISABLE for fallback testing).
 bool SimdKernelAvailable();
 
-/// Overrides the active kernel. Fails with FailedPrecondition when `kind`
-/// is kSimd and SimdKernelAvailable() is false; the active kernel is left
-/// unchanged on error. Not safe while parallel compute is in flight; set it
-/// up front (tests, benches, main()).
-[[nodiscard]] util::Status SetGemmKernelKind(GemmKernelKind kind);
-
-/// CHECK-failing convenience wrapper over SetGemmKernelKind for call sites
-/// that have already verified availability (tests, benches).
+/// Overrides the active kernel (tests and backend-sweeping benches).
+/// CHECK-fails when `kind` is kSimd and SimdKernelAvailable() is false, so
+/// nothing can dispatch into an ISA the CPU lacks. Not safe while parallel
+/// compute is in flight; set it up front.
 void SetGemmKernel(GemmKernelKind kind);
 
-/// "naive" / "blocked" / "simd".
+/// "blocked" / "simd".
 const char* GemmKernelKindName(GemmKernelKind kind);
-
-/// Parses "naive" / "blocked" / "simd" / "auto" (auto = best available).
-/// Returns InvalidArgument on anything else; `*kind` is untouched on error.
-[[nodiscard]] util::Status ParseGemmKernelKind(std::string_view name,
-                                               GemmKernelKind* kind);
-
-/// Reads the `--kernel=naive|blocked|simd|auto` flag and applies it
-/// (deepaqp_cli and the bench/tool binaries; mirrors util::ApplyThreadsFlag).
-/// Unknown values and `--kernel=simd` on hardware without the ISA return a
-/// descriptive error instead of silently falling back — the explicit flag
-/// is a stronger statement of intent than the environment variable.
-[[nodiscard]] util::Status ApplyKernelFlag(const util::Flags& flags);
 
 /// The seed repository's triple-loop GEMM, byte-for-byte semantics:
 /// C = alpha * op(A) @ op(B) + beta * C, row-parallel over large outputs.
-/// Retained as the correctness reference for the blocked and simd kernels
-/// and as the kNaive escape hatch.
+/// The correctness reference for the blocked and simd kernels: tests and
+/// bench_kernels call it directly; no dispatch reaches it.
 void ReferenceGemm(const Matrix& a, bool trans_a, const Matrix& b,
                    bool trans_b, float alpha, float beta, Matrix* c);
 
@@ -90,12 +63,10 @@ enum class Activation { kIdentity, kRelu, kLeakyRelu, kSigmoid, kTanh };
 /// out = act(x @ W + bias): one fused pass under the blocked and simd
 /// kernels (bias add and activation run on each row block while it is
 /// cache-hot, no intermediate matrix is materialized). `bias` must be
-/// 1 x W.cols, may be null-shaped (0 x 0) to skip the bias add. Under
-/// kNaive this decomposes into ReferenceGemm + broadcast + scalar
-/// activation with identical results. For every kernel kind the fused
-/// result is bit-identical to the unfused Gemm + AddRowBroadcast +
-/// ApplyActivation pipeline under that same kind. `out` must not alias
-/// `x`, `w`, or `bias`.
+/// 1 x W.cols, may be null-shaped (0 x 0) to skip the bias add. For every
+/// kernel kind the fused result is bit-identical to the unfused Gemm +
+/// AddRowBroadcast + ApplyActivation pipeline under that same kind. `out`
+/// must not alias `x`, `w`, or `bias`.
 void FusedLinearForward(const Matrix& x, const Matrix& w, const Matrix& bias,
                         Activation act, float leaky_slope, Matrix* out);
 
@@ -107,9 +78,9 @@ void ApplyActivation(Activation act, float leaky_slope, float* data,
 /// out[i] = sigmoid(x[i]). Under the blocked kernel this uses a
 /// polynomial exp2-based expf (pure float arithmetic, auto-vectorizable,
 /// |error| < 1e-5 absolute on the sigmoid); under kSimd the same polynomial
-/// is evaluated with explicit vector intrinsics; under kNaive it is the
-/// scalar 1/(1+std::exp(-x)) loop. Either way the result is a pure function
-/// of the input and the kernel kind — never of the thread count.
+/// is evaluated with explicit vector intrinsics. Either way the result is a
+/// pure function of the input and the kernel kind — never of the thread
+/// count.
 void SigmoidVec(const float* x, float* out, size_t n);
 
 /// bits[i] = Bernoulli(sigmoid(logits[i])) as 0.0f/1.0f. The sigmoid pass

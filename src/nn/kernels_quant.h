@@ -73,7 +73,7 @@ const char* QuantModeName(QuantMode mode);
                                           QuantMode* mode);
 
 /// Reads the `--quant=off|fp16|int8` flag and applies it via SetQuantMode
-/// (deepaqp_cli and the bench/tool binaries; mirrors ApplyKernelFlag).
+/// (deepaqp_cli and the bench/tool binaries).
 /// Unknown values and a failing kernel self-check return a descriptive
 /// error instead of silently falling back.
 [[nodiscard]] util::Status ApplyQuantFlag(const util::Flags& flags);

@@ -1,9 +1,9 @@
 // The seed repository's triple-loop GEMM, kept verbatim as the correctness
-// oracle for the blocked kernel and as the `DEEPAQP_KERNEL=naive` escape
-// hatch. Deliberately compiled with the project-default flags (no -O3, no
-// -march) so its numerics and throughput stay exactly those of the seed —
-// it is both the bit-exact fallback and the baseline the bench_kernels
-// speedup numbers are measured against.
+// oracle for the blocked and simd kernels (tests and bench_kernels call it
+// directly; no dispatch reaches it). Deliberately compiled with the
+// project-default flags (no -O3, no -march) so its numerics and throughput
+// stay exactly those of the seed — the baseline the bench_kernels speedup
+// numbers are measured against.
 
 #include "nn/kernels.h"
 

@@ -1,4 +1,4 @@
-// The explicitly vectorized GEMM backend (DEEPAQP_KERNEL=simd): the same
+// The explicitly vectorized GEMM backend (GemmKernelKind::kSimd): the same
 // packed-panel blocked algorithm as kernels.cc, with the micro-kernel and
 // the sigmoid written in intrinsics instead of relying on the
 // auto-vectorizer. This is the only translation unit in the project built

@@ -30,9 +30,10 @@ class MessageSink {
 };
 
 /// In-process pipe: a thread-safe FIFO the client side drains. This is the
-/// transport of every test and of bench_server — structs pass through
-/// unserialized, delivery is reliable and ordered, and the only
-/// nondeterminism is scheduling (which the protocol already tolerates).
+/// transport of the in-process tests and of `deepaqp_cli serve --text` —
+/// structs pass through unserialized, delivery is reliable and ordered,
+/// and the only nondeterminism is scheduling (which the protocol already
+/// tolerates).
 class PipeTransport : public MessageSink {
  public:
   util::Status Deliver(const ServerMessage& message) override;

@@ -25,7 +25,7 @@ const CpuFeatures& CpuInfo();
 
 /// Overrides CpuInfo() for tests (pass nullptr to restore real detection).
 /// The pointed-to struct must outlive the override. Not safe while parallel
-/// compute is in flight; set it up front like SetGemmKernelKind.
+/// compute is in flight; set it up front like nn::SetGemmKernel.
 void SetCpuFeaturesForTest(const CpuFeatures* features);
 
 /// "avx2 fma" / "neon" / "" — for logs and bench metadata.

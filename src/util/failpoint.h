@@ -81,7 +81,7 @@ Status ConfigureFailpoints(const std::string& spec);
 void DisableFailpoints();
 
 /// Reads the --failpoints flag and applies it; an invalid spec aborts with a
-/// usage message (mirrors aqp::ApplyEngineFlag). Without the flag the
+/// usage message (exit 2). Without the flag the
 /// DEEPAQP_FAILPOINTS environment variable (read once at startup) stands.
 void ApplyFailpointsFlag(const Flags& flags);
 

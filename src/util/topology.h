@@ -105,8 +105,8 @@ PinPolicy ActivePinPolicy();
 void SetPinPolicy(PinPolicy policy);
 
 /// Reads `--pin=off|compact|scatter` and applies it (deepaqp_cli and the
-/// bench binaries; mirrors nn::ApplyKernelFlag: the explicit flag hard-
-/// errors on unknown values where the env var only warns). Call before
+/// bench binaries; the explicit flag hard-errors on unknown values where
+/// the env var only warns). Call before
 /// ApplyThreadsFlag so the rebuilt pool plans placement under the policy.
 [[nodiscard]] Status ApplyPinFlag(const Flags& flags);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "aqp/estimator.h"
 #include "aqp/executor.h"
 #include "aqp/sql_parser.h"
 #include "util/logging.h"
@@ -130,11 +129,7 @@ util::Result<aqp::QueryResult> AqpClient::Query(
     const aqp::AggregateQuery& query) {
   GrowPool(pending_rows_);
   pending_rows_ = 0;
-  util::Result<aqp::QueryResult> result =
-      aqp::ActiveEngine() != aqp::EngineKind::kVector
-          // Scalar escape hatch: plain full scans, no cache.
-          ? aqp::EstimateFromSample(query, pool_, options_.population_rows)
-          : QueryCached(query);
+  util::Result<aqp::QueryResult> result = QueryCached(query);
   // Bias-elimination widening: estimates are unchanged (bit-identical to a
   // healthy client), only their stated uncertainty grows.
   if (result.ok() && ci_inflation_ != 1.0) {

@@ -24,14 +24,12 @@ namespace deepaqp::vae {
 /// runs on the global thread pool (util::SetGlobalThreads / --threads) and
 /// is deterministic in `seed` regardless of the thread count.
 ///
-/// The pool is append-only, so under the vector engine the client keeps a
-/// per-predicate selection bitmap and per-query dense group moments: a
-/// repeated query re-aggregates nothing, and after precision-on-demand
-/// growth only the newly generated suffix rows are filtered and folded in.
-/// Because suffix rows fold into the running moments in row order, a warm
-/// cache returns results bit-identical to a cold scan of the same pool
-/// (and to the `DEEPAQP_ENGINE=scalar` path). With the scalar engine the
-/// cache is bypassed entirely.
+/// The pool is append-only, so the client keeps a per-predicate selection
+/// bitmap and per-query dense group moments: a repeated query re-aggregates
+/// nothing, and after precision-on-demand growth only the newly generated
+/// suffix rows are filtered and folded in. Because suffix rows fold into
+/// the running moments in row order, a warm cache returns results
+/// bit-identical to a cold aqp::EstimateFromSample scan of the same pool.
 class AqpClient {
  public:
   struct Options {
@@ -159,8 +157,8 @@ class AqpClient {
 
   void GrowPool(size_t target_rows);
 
-  /// The vector-engine fast path behind Query(): suffix-incremental bitmap
-  /// + moments lookup, then the shared FinalizeEstimate.
+  /// The cached path behind Query(): suffix-incremental bitmap + moments
+  /// lookup, then the shared FinalizeEstimate.
   util::Result<aqp::QueryResult> QueryCached(const aqp::AggregateQuery& query);
 
   Options options_;

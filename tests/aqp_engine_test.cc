@@ -1,8 +1,8 @@
 // Property tests of the vectorized query engine: for random tables x query
 // shapes x selectivities (including empty selections and AVG-of-empty), the
-// vector engine must produce results bit-identical to the scalar path, at
-// every --threads setting, across ExecuteExact, EstimateFromSample,
-// BootstrapEstimate, Selectivity, and OnlineAggregator.
+// engine must produce results bit-identical to the row-at-a-time reference
+// (engine_reference.h), at every --threads setting, across ExecuteExact,
+// EstimateFromSample, BootstrapEstimate, Selectivity, and OnlineAggregator.
 
 #include "aqp/engine.h"
 
@@ -16,6 +16,7 @@
 #include "aqp/online.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "engine_reference.h"
 #include "util/thread_pool.h"
 
 namespace deepaqp::aqp {
@@ -32,8 +33,8 @@ uint64_t Bits(double x) {
   return b;
 }
 
-/// Bit-level equality, so NaN == NaN and +0.0 != -0.0: the engines must
-/// agree on the exact doubles, not just approximately.
+/// Bit-level equality, so NaN == NaN and +0.0 != -0.0: engine and reference
+/// must agree on the exact doubles, not just approximately.
 void ExpectBitIdentical(const QueryResult& scalar, const QueryResult& vector,
                         const std::string& context) {
   ASSERT_EQ(scalar.groups.size(), vector.groups.size()) << context;
@@ -49,31 +50,6 @@ void ExpectBitIdentical(const QueryResult& scalar, const QueryResult& vector,
         << context << " group " << i << " ci " << s.ci_half_width << " vs "
         << v.ci_half_width;
   }
-}
-
-/// Restores the ambient engine choice so test order never leaks state.
-struct EngineGuard {
-  EngineKind saved = ActiveEngine();
-  ~EngineGuard() { SetEngine(saved); }
-};
-
-template <typename Fn>
-auto WithEngine(EngineKind kind, Fn&& fn) {
-  const EngineKind saved = ActiveEngine();
-  SetEngine(kind);
-  auto result = fn();
-  SetEngine(saved);
-  return result;
-}
-
-TEST(EngineTest, NameAndOverrideRoundTrip) {
-  EngineGuard guard;
-  EXPECT_STREQ(EngineName(EngineKind::kScalar), "scalar");
-  EXPECT_STREQ(EngineName(EngineKind::kVector), "vector");
-  SetEngine(EngineKind::kScalar);
-  EXPECT_EQ(ActiveEngine(), EngineKind::kScalar);
-  SetEngine(EngineKind::kVector);
-  EXPECT_EQ(ActiveEngine(), EngineKind::kVector);
 }
 
 TEST(EngineTest, SelectionVectorResizeAndCount) {
@@ -95,7 +71,6 @@ TEST(EngineTest, SelectionVectorResizeAndCount) {
 }
 
 TEST(EngineTest, RandomizedWorkloadBitIdenticalAcrossEnginesAndThreads) {
-  EngineGuard guard;
   struct DatasetSpec {
     const char* name;
     Table table;
@@ -122,41 +97,26 @@ TEST(EngineTest, RandomizedWorkloadBitIdenticalAcrossEnginesAndThreads) {
                                 std::to_string(qi) + " threads=" +
                                 std::to_string(threads);
 
-        auto exact_s = WithEngine(EngineKind::kScalar, [&] {
-          return ExecuteExact(q, ds.table);
-        });
-        auto exact_v = WithEngine(EngineKind::kVector, [&] {
-          return ExecuteExact(q, ds.table);
-        });
+        auto exact_s = ReferenceExecuteExact(q, ds.table);
+        auto exact_v = ExecuteExact(q, ds.table);
         ASSERT_TRUE(exact_s.ok() && exact_v.ok()) << ctx;
         ExpectBitIdentical(*exact_s, *exact_v, ctx + " exact");
 
-        auto est_s = WithEngine(EngineKind::kScalar, [&] {
-          return EstimateFromSample(q, ds.table, population);
-        });
-        auto est_v = WithEngine(EngineKind::kVector, [&] {
-          return EstimateFromSample(q, ds.table, population);
-        });
+        auto est_s = ReferenceEstimateFromSample(q, ds.table, population);
+        auto est_v = EstimateFromSample(q, ds.table, population);
         ASSERT_TRUE(est_s.ok() && est_v.ok()) << ctx;
         ExpectBitIdentical(*est_s, *est_v, ctx + " estimate");
 
-        const double sel_s = WithEngine(EngineKind::kScalar, [&] {
-          return Selectivity(q, ds.table);
-        });
-        const double sel_v = WithEngine(EngineKind::kVector, [&] {
-          return Selectivity(q, ds.table);
-        });
+        const double sel_s = ReferenceSelectivity(q, ds.table);
+        const double sel_v = Selectivity(q, ds.table);
         EXPECT_EQ(Bits(sel_s), Bits(sel_v)) << ctx << " selectivity";
 
         BootstrapOptions bopts;
         bopts.resamples = 20;
         bopts.seed = 1789 + qi;
-        auto boot_s = WithEngine(EngineKind::kScalar, [&] {
-          return BootstrapEstimate(q, ds.table, population, bopts);
-        });
-        auto boot_v = WithEngine(EngineKind::kVector, [&] {
-          return BootstrapEstimate(q, ds.table, population, bopts);
-        });
+        auto boot_s =
+            ReferenceBootstrapEstimate(q, ds.table, population, bopts);
+        auto boot_v = BootstrapEstimate(q, ds.table, population, bopts);
         ASSERT_TRUE(boot_s.ok() && boot_v.ok()) << ctx;
         ExpectBitIdentical(*boot_s, *boot_v, ctx + " bootstrap");
       }
@@ -180,7 +140,6 @@ Table EdgeTable() {
 }
 
 TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
-  EngineGuard guard;
   Table t = EdgeTable();
   std::vector<AggregateQuery> queries;
 
@@ -216,17 +175,13 @@ TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const AggregateQuery& q = queries[qi];
     const std::string ctx = "edge q" + std::to_string(qi);
-    auto exact_s = WithEngine(EngineKind::kScalar,
-                              [&] { return ExecuteExact(q, t); });
-    auto exact_v = WithEngine(EngineKind::kVector,
-                              [&] { return ExecuteExact(q, t); });
+    auto exact_s = ReferenceExecuteExact(q, t);
+    auto exact_v = ExecuteExact(q, t);
     ASSERT_TRUE(exact_s.ok() && exact_v.ok()) << ctx;
     ExpectBitIdentical(*exact_s, *exact_v, ctx + " exact");
 
-    auto est_s = WithEngine(EngineKind::kScalar,
-                            [&] { return EstimateFromSample(q, t, 40); });
-    auto est_v = WithEngine(EngineKind::kVector,
-                            [&] { return EstimateFromSample(q, t, 40); });
+    auto est_s = ReferenceEstimateFromSample(q, t, 40);
+    auto est_v = EstimateFromSample(q, t, 40);
     ASSERT_TRUE(est_s.ok() && est_v.ok()) << ctx;
     ExpectBitIdentical(*est_s, *est_v, ctx + " estimate");
   }
@@ -242,7 +197,6 @@ TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
 }
 
 TEST(EngineTest, OnlineAggregatorMatchesAcrossEnginesAndBatchSplits) {
-  EngineGuard guard;
   auto table = data::GenerateTaxi({.rows = 1500, .seed = 17});
   AggregateQuery q;
   q.agg = AggFunc::kAvg;
@@ -252,34 +206,36 @@ TEST(EngineTest, OnlineAggregatorMatchesAcrossEnginesAndBatchSplits) {
       {static_cast<size_t>(table.schema().IndexOf("trip_distance")),
        CmpOp::kGt, 1.0});
 
-  auto run = [&](EngineKind kind, const std::vector<size_t>& splits) {
-    return WithEngine(kind, [&] {
-      OnlineAggregator agg(q, table.num_rows() * 10);
-      size_t start = 0;
-      for (size_t len : splits) {
-        EXPECT_TRUE(agg.AddBatch(table.Gather([&] {
-                       std::vector<size_t> rows(len);
-                       for (size_t i = 0; i < len; ++i) rows[i] = start + i;
-                       return rows;
-                     }())).ok());
-        start += len;
-      }
-      auto current = agg.Current();
-      EXPECT_TRUE(current.ok());
-      return *current;
-    });
+  const size_t population = table.num_rows() * 10;
+  auto split = [&](const std::vector<size_t>& lens) {
+    std::vector<Table> batches;
+    size_t start = 0;
+    for (size_t len : lens) {
+      std::vector<size_t> rows(len);
+      for (size_t i = 0; i < len; ++i) rows[i] = start + i;
+      batches.push_back(table.Gather(rows));
+      start += len;
+    }
+    return batches;
+  };
+  auto run = [&](const std::vector<Table>& batches) {
+    OnlineAggregator agg(q, population);
+    for (const Table& batch : batches) EXPECT_TRUE(agg.AddBatch(batch).ok());
+    auto current = agg.Current();
+    EXPECT_TRUE(current.ok());
+    return *current;
   };
 
-  const std::vector<size_t> one_batch = {1500};
-  const std::vector<size_t> three_batches = {500, 700, 300};
-  QueryResult s1 = run(EngineKind::kScalar, one_batch);
-  QueryResult v1 = run(EngineKind::kVector, one_batch);
-  QueryResult s3 = run(EngineKind::kScalar, three_batches);
-  QueryResult v3 = run(EngineKind::kVector, three_batches);
+  const std::vector<Table> one_batch = split({1500});
+  const std::vector<Table> three_batches = split({500, 700, 300});
+  QueryResult s1 = ReferenceOnlineEstimate(q, one_batch, population);
+  QueryResult v1 = run(one_batch);
+  QueryResult s3 = ReferenceOnlineEstimate(q, three_batches, population);
+  QueryResult v3 = run(three_batches);
   ExpectBitIdentical(s1, v1, "online one batch");
   ExpectBitIdentical(s3, v3, "online three batches");
   // Batch splits merge per matched row, so the split itself is invisible.
-  ExpectBitIdentical(s1, s3, "online scalar split invariance");
+  ExpectBitIdentical(s1, s3, "online reference split invariance");
   ExpectBitIdentical(v1, v3, "online vector split invariance");
 }
 

@@ -7,7 +7,7 @@
 //  * fused bias+activation forwards equal to the unfused pipeline exactly;
 //  * the vectorized sigmoid within 1e-5 of the std::exp form, with the
 //    Bernoulli fusion consuming the same RNG stream;
-//  * the kernel-kind escape hatch actually switches implementations.
+//  * SetGemmKernel switches the kernel that Gemm dispatches to.
 
 #include "nn/kernels.h"
 
@@ -119,10 +119,7 @@ TEST(GemmKernelTest, FastKernelsMatchReferenceAllTransposesAllShapes) {
             for (float beta : kBetas) {
               const Matrix c0 = RandomMatrix(m, n, rng);
               Matrix want = c0;
-              {
-                ScopedKernel naive(GemmKernelKind::kNaive);
-                Gemm(a, ta, b, tb, 1.25f, beta, &want);
-              }
+              ReferenceGemm(a, ta, b, tb, 1.25f, beta, &want);
               for (GemmKernelKind kind : fast) {
                 Matrix got = c0;
                 ScopedKernel active(kind);
@@ -150,10 +147,7 @@ TEST(GemmKernelTest, FastKernelsMatchReferenceOnVaeShapes) {
     const Matrix a = RandomMatrix(256, hidden, rng);
     const Matrix b = RandomMatrix(hidden, hidden, rng);
     Matrix want;
-    {
-      ScopedKernel naive(GemmKernelKind::kNaive);
-      Gemm(a, false, b, false, 1.0f, 0.0f, &want);
-    }
+    ReferenceGemm(a, false, b, false, 1.0f, 0.0f, &want);
     for (GemmKernelKind kind : FastKernels()) {
       Matrix got;
       ScopedKernel active(kind);
@@ -199,14 +193,11 @@ TEST(GemmKernelTest, ShardedGemmTNBitIdenticalAcrossThreadCounts) {
   }
   util::SetGlobalThreads(0);
 
-  // And the blocked shard kernel agrees with the naive shard kernel.
-  Matrix naive_c(33, 17);
-  {
-    ScopedKernel naive(GemmKernelKind::kNaive);
-    ShardedGemmTN(a, b, &naive_c);
-  }
+  // And the blocked shard kernel agrees with the reference TN product.
+  Matrix ref_c;
+  ReferenceGemm(a, true, b, false, 1.0f, 0.0f, &ref_c);
   EXPECT_LE(
-      GemmRelError(a, true, b, false, 1.0f, 0.0f, nullptr, naive_c, base),
+      GemmRelError(a, true, b, false, 1.0f, 0.0f, nullptr, ref_c, base),
       kTol);
 }
 
@@ -303,24 +294,19 @@ TEST(SigmoidKernelTest, BernoulliFusionConsumesSameRngStream) {
   EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
 }
 
-TEST(KernelDispatchTest, EscapeHatchSwitchesImplementations) {
-  // kNaive must reproduce ReferenceGemm bit-for-bit (it IS the reference);
-  // the blocked kernel differs in summation order, so on a shape with a
-  // long k accumulation the bits generally differ while values agree.
+TEST(KernelDispatchTest, SetKindSwitchesImplementations) {
+  // The blocked kernel differs from ReferenceGemm in summation order, so on
+  // a shape with a long k accumulation the bits generally differ while
+  // values agree.
   util::Rng rng(2718);
   const Matrix a = RandomMatrix(16, 500, rng);
   const Matrix b = RandomMatrix(500, 16, rng);
   Matrix ref;
   ReferenceGemm(a, false, b, false, 1.0f, 0.0f, &ref);
-  Matrix via_naive;
-  {
-    ScopedKernel naive(GemmKernelKind::kNaive);
-    Gemm(a, false, b, false, 1.0f, 0.0f, &via_naive);
-  }
-  EXPECT_TRUE(BitIdentical(ref, via_naive));
   Matrix via_blocked;
   {
     ScopedKernel blocked(GemmKernelKind::kBlocked);
+    EXPECT_EQ(ActiveGemmKernel(), GemmKernelKind::kBlocked);
     Gemm(a, false, b, false, 1.0f, 0.0f, &via_blocked);
   }
   EXPECT_LE(GemmRelError(a, false, b, false, 1.0f, 0.0f, nullptr, ref,
@@ -328,27 +314,25 @@ TEST(KernelDispatchTest, EscapeHatchSwitchesImplementations) {
             kTol);
   if (SimdKernelAvailable()) {
     Matrix via_simd;
-    ScopedKernel simd(GemmKernelKind::kSimd);
-    Gemm(a, false, b, false, 1.0f, 0.0f, &via_simd);
+    {
+      ScopedKernel simd(GemmKernelKind::kSimd);
+      EXPECT_EQ(ActiveGemmKernel(), GemmKernelKind::kSimd);
+      Gemm(a, false, b, false, 1.0f, 0.0f, &via_simd);
+    }
     EXPECT_LE(GemmRelError(a, false, b, false, 1.0f, 0.0f, nullptr, ref,
                            via_simd),
               kTol);
+#if defined(__x86_64__) || defined(__i386__)
+    // On x86 the blocked kernel is built for the baseline ISA (no FMA) and
+    // simd contracts every k step into an FMA, so over k = 500 some output
+    // bits differ: Gemm really ran two different kernels.
+    bool any_bit_differs = false;
+    for (size_t i = 0; i < via_simd.size(); ++i) {
+      any_bit_differs |= via_simd.data()[i] != via_blocked.data()[i];
+    }
+    EXPECT_TRUE(any_bit_differs);
+#endif
   }
-}
-
-TEST(KernelDispatchTest, KindNamesRoundTripThroughParse) {
-  for (GemmKernelKind kind :
-       {GemmKernelKind::kNaive, GemmKernelKind::kBlocked,
-        GemmKernelKind::kSimd}) {
-    GemmKernelKind parsed;
-    ASSERT_TRUE(ParseGemmKernelKind(GemmKernelKindName(kind), &parsed).ok());
-    EXPECT_EQ(parsed, kind);
-  }
-  GemmKernelKind parsed;
-  EXPECT_TRUE(ParseGemmKernelKind("auto", &parsed).ok());
-  const util::Status bad = ParseGemmKernelKind("warp-drive", &parsed);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ScratchArenaTest, AcquireReleaseRoundTrip) {

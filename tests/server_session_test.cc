@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "server/scheduler.h"
@@ -31,12 +30,6 @@
 
 namespace deepaqp::server {
 namespace {
-
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// Trains one small taxi model per distinct training seed, once for the
 /// whole suite, and serves it as bytes (every consumer re-opens or shares
@@ -192,7 +185,6 @@ void DriveSession(AqpServer& server, const std::shared_ptr<PipeTransport>& pipe,
 }
 
 TEST(ServerSessionTest, StreamMatchesDirectClientBitForBit) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -230,7 +222,6 @@ TEST(ServerSessionTest, StreamMatchesDirectClientBitForBit) {
 }
 
 TEST(ServerSessionTest, ConcurrentSessionsBitIdenticalAcrossThreadCounts) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -268,7 +259,6 @@ TEST(ServerSessionTest, ConcurrentSessionsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -321,7 +311,6 @@ TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
 }
 
 TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
-  EngineGuard guard;
   ModelRegistry registry;
   auto v1 = vae::VaeAqpModel::Deserialize(ModelBytes(77));
   ASSERT_TRUE(v1.ok());
@@ -381,7 +370,6 @@ QuerySpec UnmeetableSpec() {
 }
 
 TEST(ServerSessionTest, FirstStepSendsOneFrameBeforeAnyGrowth) {
-  EngineGuard guard;
   ModelRegistry registry;
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -422,7 +410,6 @@ TEST(ServerSessionTest, FirstStepSendsOneFrameBeforeAnyGrowth) {
 }
 
 TEST(ServerSessionTest, UnmeetableStreamWalksToMaxSamplesAcrossThreadCounts) {
-  EngineGuard guard;
   const QuerySpec spec = UnmeetableSpec();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), {spec});
@@ -453,7 +440,6 @@ TEST(ServerSessionTest, UnmeetableStreamWalksToMaxSamplesAcrossThreadCounts) {
 }
 
 TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
-  EngineGuard guard;
   const QuerySpec spec = DefaultQueries()[0];
   AqpServer server(ServerOptions());
   auto v1 = vae::VaeAqpModel::Deserialize(ModelBytes(77));
@@ -493,7 +479,6 @@ TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
 }
 
 TEST(ServerSessionTest, ErrorsAreResponsesNotSessionDeath) {
-  EngineGuard guard;
   AqpServer server(ServerOptions());
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -540,7 +525,6 @@ TEST(ServerSessionTest, ErrorsAreResponsesNotSessionDeath) {
 }
 
 TEST(ServerSessionTest, PerSessionOverridesApply) {
-  EngineGuard guard;
   AqpServer server(ServerOptions());
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -601,7 +585,6 @@ std::vector<std::vector<std::vector<uint8_t>>> ReferenceSegments(
 }
 
 TEST(ServerSessionTest, GracefulShutdownNeverTruncatesAcrossThreadCounts) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<std::vector<uint8_t>>> segments =
       ReferenceSegments(queries);

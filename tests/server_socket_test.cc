@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "server/server.h"
@@ -27,12 +27,6 @@
 
 namespace deepaqp::server {
 namespace {
-
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// Arms a failpoint spec for one test body and guarantees a clean registry
 /// afterwards (no spec leaks into the next test).
@@ -175,7 +169,6 @@ TEST(ServerSocketTest, FrameParserRejectsOversizedPrefix) {
 }
 
 TEST(ServerSocketTest, LoopbackStreamMatchesDirectClientBitForBit) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
   ASSERT_GT(reference.size(), queries.size());
@@ -198,7 +191,6 @@ TEST(ServerSocketTest, LoopbackStreamMatchesDirectClientBitForBit) {
 }
 
 TEST(ServerSocketTest, PingPongRoundTrip) {
-  EngineGuard guard;
   TcpServer ts;
   RetryingConnection client(ClientFor(ts));
   ASSERT_TRUE(client.Connect().ok());
@@ -210,7 +202,6 @@ TEST(ServerSocketTest, PingPongRoundTrip) {
 // client reconnects with its resumption token, and the final answer is
 // bit-identical to an uninterrupted run.
 TEST(ServerSocketTest, DroppedConnectionResumesBitIdentical) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
 
@@ -244,7 +235,6 @@ TEST(ServerSocketTest, DroppedConnectionResumesBitIdentical) {
 // Same acceptance shape, cut by the supervision layer instead of the write
 // path: the heartbeat reaper declares the connection dead mid-stream.
 TEST(ServerSocketTest, HeartbeatReapMidStreamResumesBitIdentical) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
 
@@ -276,7 +266,6 @@ TEST(ServerSocketTest, HeartbeatReapMidStreamResumesBitIdentical) {
 }
 
 TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
-  EngineGuard guard;
   SocketServer::Options sopts;
   sopts.heartbeat_ms = 20;
   sopts.heartbeat_misses = 2;
@@ -289,12 +278,29 @@ TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
   open.kind = ClientMessageKind::kOpenSession;
   open.model_name = "taxi";
   ASSERT_TRUE(raw.Send(open).ok());
-  auto opened = raw.Receive(5000);
-  ASSERT_TRUE(opened.ok());
-  ASSERT_TRUE(opened->has_value());
-  ASSERT_EQ((*opened)->kind, ServerMessageKind::kSessionOpened);
-  const uint64_t session = (*opened)->session;
-  const uint64_t token = (*opened)->resume_token;
+  // The open reply generates the initial pool, which can outlast the 40 ms
+  // liveness budget (under sanitizers). Until it arrives, ping about every
+  // 10 ms so the connection stays live, and skip the PONGs.
+  std::optional<ServerMessage> opened;
+  auto next_ping = std::chrono::steady_clock::now();
+  const auto give_up = next_ping + std::chrono::seconds(5);
+  while (!opened.has_value() && std::chrono::steady_clock::now() < give_up) {
+    if (std::chrono::steady_clock::now() >= next_ping) {
+      ClientMessage ping;
+      ping.kind = ClientMessageKind::kPing;
+      ASSERT_TRUE(raw.Send(ping).ok());
+      next_ping += std::chrono::milliseconds(10);
+    }
+    auto msg = raw.Receive(2);
+    ASSERT_TRUE(msg.ok());
+    if (msg->has_value() && (*msg)->kind != ServerMessageKind::kPong) {
+      opened = std::move(*msg);
+    }
+  }
+  ASSERT_TRUE(opened.has_value());
+  ASSERT_EQ(opened->kind, ServerMessageKind::kSessionOpened);
+  const uint64_t session = opened->session;
+  const uint64_t token = opened->resume_token;
   ASSERT_NE(token, 0u);
 
   // Silence past the liveness deadline: the CONNECTION must be reaped...
@@ -323,7 +329,6 @@ TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
 }
 
 TEST(ServerSocketTest, ResumeWithBadTokenRejected) {
-  EngineGuard guard;
   TcpServer ts;
   SocketConnection raw;
   ASSERT_TRUE(raw.Connect("127.0.0.1", ts.sock->port(), 2000).ok());
@@ -350,7 +355,6 @@ TEST(ServerSocketTest, ResumeWithBadTokenRejected) {
 }
 
 TEST(ServerSocketTest, AdmissionControlShedsWithServerBusy) {
-  EngineGuard guard;
   AqpServer::Options opts = ServerOptions();
   opts.max_sessions = 1;
   TcpServer ts(opts);
@@ -376,7 +380,6 @@ TEST(ServerSocketTest, AdmissionControlShedsWithServerBusy) {
 }
 
 TEST(ServerSocketTest, GracefulShutdownFinishesInFlightStream) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream({queries[0]});
 
@@ -416,7 +419,6 @@ TEST(ServerSocketTest, GracefulShutdownFinishesInFlightStream) {
 }
 
 TEST(ServerSocketTest, ShutdownRefusesNewSessionsDuringDrain) {
-  EngineGuard guard;
   TcpServer ts;
   RetryingConnection client(ClientFor(ts));
   ASSERT_TRUE(client.Connect().ok());

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/flags.h"
-
 namespace deepaqp::util {
 namespace {
 
@@ -86,29 +84,6 @@ TEST(StringUtilTest, ParseInt64RejectsOutOfRange) {
   EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));
   EXPECT_EQ(v, INT64_MIN);
   EXPECT_FALSE(ParseInt64("-9223372036854775809", &v));
-}
-
-TEST(FlagsTest, ParsesEqualsAndSpaceForms) {
-  const char* argv[] = {"prog", "--rows=100", "--name", "census",
-                        "--verbose"};
-  Flags flags(5, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("rows", 0), 100);
-  EXPECT_EQ(flags.GetString("name", ""), "census");
-  EXPECT_TRUE(flags.GetBool("verbose", false));
-  EXPECT_EQ(flags.GetInt("missing", 7), 7);
-  EXPECT_FALSE(flags.Has("missing"));
-}
-
-TEST(FlagsTest, LaterOccurrenceWins) {
-  const char* argv[] = {"prog", "--t=1", "--t=2"};
-  Flags flags(3, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("t", 0), 2);
-}
-
-TEST(FlagsTest, DoubleParsing) {
-  const char* argv[] = {"prog", "--frac=0.25"};
-  Flags flags(2, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetDouble("frac", 0.0), 0.25);
 }
 
 }  // namespace

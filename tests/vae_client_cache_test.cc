@@ -1,12 +1,12 @@
 // Client query-cache correctness: pool growth via QueryWithMaxRelativeCi
 // must evaluate only the newly generated suffix rows, yet return results
-// byte-identical to a cold-cache (scalar-engine) client at the same seed.
+// byte-identical to a cache-less aqp::EstimateFromSample scan of the same
+// pool.
 
 #include <cstring>
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
 #include "aqp/estimator.h"
 #include "data/generators.h"
 #include "vae/client.h"
@@ -31,14 +31,6 @@ void ExpectBitIdentical(const aqp::QueryResult& a, const aqp::QueryResult& b,
         << context;
   }
 }
-
-/// Forces the vector engine for the test body (the cache under test only
-/// exists there) and restores whatever DEEPAQP_ENGINE chose on exit.
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// One small model, trained once and re-opened from bytes per client so
 /// every client in this suite sees the identical generator.
@@ -93,25 +85,24 @@ aqp::AggregateQuery FilteredAvg(const vae::AqpClient& client) {
   return q;
 }
 
-TEST(ClientCacheTest, GrowthMatchesColdScalarClientBitForBit) {
-  EngineGuard guard;
+TEST(ClientCacheTest, GrowthMatchesColdRescanBitForBit) {
   auto warm = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(warm.ok());
   aqp::AggregateQuery q = FilteredAvg(**warm);
-  auto warm_result = (*warm)->QueryWithMaxRelativeCi(q, 0.03);
-  ASSERT_TRUE(warm_result.ok());
+  // Every refinement step of the QueryWithMaxRelativeCi trajectory must
+  // equal a cold full rescan of the pool it was computed on (no cache at
+  // all), so the cached and cache-less trajectories grow alike.
+  bool final = false;
+  while (!final) {
+    auto step = (*warm)->QueryRefineStep(q, 0.03, &final);
+    ASSERT_TRUE(step.ok());
+    auto cold = aqp::EstimateFromSample(q, (*warm)->pool(), 4000);
+    ASSERT_TRUE(cold.ok());
+    ExpectBitIdentical(*step, *cold,
+                       "growth step at pool " +
+                           std::to_string((*warm)->pool_size()));
+  }
   EXPECT_GT((*warm)->pool_size(), 400u);  // precision-on-demand grew
-
-  // Cold client under the scalar engine: full rescans, no cache at all.
-  aqp::SetEngine(aqp::EngineKind::kScalar);
-  auto cold = vae::AqpClient::Open(ModelBytes(), ClientOptions());
-  ASSERT_TRUE(cold.ok());
-  auto cold_result = (*cold)->QueryWithMaxRelativeCi(q, 0.03);
-  ASSERT_TRUE(cold_result.ok());
-
-  EXPECT_EQ((*warm)->pool_size(), (*cold)->pool_size());
-  ExpectBitIdentical(*warm_result, *cold_result, "growth query");
-  EXPECT_EQ((*cold)->cache_stats().agg_entries, 0u);  // cache bypassed
 
   // Suffix-only evaluation: across the whole doubling trajectory every pool
   // row went through the filter kernel and the aggregation pass exactly
@@ -124,7 +115,6 @@ TEST(ClientCacheTest, GrowthMatchesColdScalarClientBitForBit) {
 }
 
 TEST(ClientCacheTest, RepeatedQueryReevaluatesNothing) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q = FilteredAvg(**client);
@@ -140,7 +130,6 @@ TEST(ClientCacheTest, RepeatedQueryReevaluatesNothing) {
 }
 
 TEST(ClientCacheTest, PredicateBitmapSharedAcrossMeasures) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q1 = FilteredAvg(**client);
@@ -155,7 +144,6 @@ TEST(ClientCacheTest, PredicateBitmapSharedAcrossMeasures) {
 }
 
 TEST(ClientCacheTest, QuantileLevelsShareAccumulation) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q = FilteredAvg(**client);
@@ -168,8 +156,7 @@ TEST(ClientCacheTest, QuantileLevelsShareAccumulation) {
   ASSERT_TRUE(p90.ok());
   EXPECT_EQ((*client)->cache_stats().agg_entries, 1u);
 
-  // Both levels must agree with a cache-less scalar scan of the same pool.
-  aqp::SetEngine(aqp::EngineKind::kScalar);
+  // Both levels must agree with a cache-less scan of the same pool.
   q.quantile = 0.5;
   auto median_ref =
       aqp::EstimateFromSample(q, (*client)->pool(), 4000);
@@ -181,7 +168,6 @@ TEST(ClientCacheTest, QuantileLevelsShareAccumulation) {
 }
 
 TEST(ClientCacheTest, ModelSwapInvalidatesCacheAndMatchesFreshClient) {
-  EngineGuard guard;
   ASSERT_NE(ModelBytes(), SwappedModelBytes());  // genuinely different model
 
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
@@ -215,7 +201,6 @@ TEST(ClientCacheTest, ModelSwapInvalidatesCacheAndMatchesFreshClient) {
 }
 
 TEST(ClientCacheTest, GroupByGrowthHandlesNewGroupCodes) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q;
@@ -225,7 +210,6 @@ TEST(ClientCacheTest, GroupByGrowthHandlesNewGroupCodes) {
   auto grown = (*client)->QueryWithMaxRelativeCi(q, 0.05);
   ASSERT_TRUE(grown.ok());
 
-  aqp::SetEngine(aqp::EngineKind::kScalar);
   auto reference = aqp::EstimateFromSample(q, (*client)->pool(), 4000);
   ASSERT_TRUE(reference.ok());
   ExpectBitIdentical(*grown, *reference, "group-by growth");

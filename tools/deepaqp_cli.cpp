@@ -30,13 +30,11 @@
 #include <string>
 #include <thread>
 
-#include "aqp/engine.h"
 #include "aqp/estimator.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "encoding/tuple_encoder.h"
 #include "ensemble/ensemble_model.h"
-#include "nn/kernels.h"
 #include "nn/kernels_quant.h"
 #include "relation/csv.h"
 #include "server/server.h"
@@ -69,7 +67,7 @@ int Usage() {
       "[--flags]\n"
       "run with a command and no flags for that command's requirements\n"
       "global flags: --threads N, --pin off|compact|scatter, "
-      "--kernel naive|blocked|simd|auto, --quant off|fp16|int8\n",
+      "--quant off|fp16|int8\n",
       stderr);
   return 2;
 }
@@ -87,8 +85,9 @@ int CmdMakeData(const util::Flags& flags) {
     return 2;
   }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 10000));
-  relation::Table table =
-      MakeDataset(flags.GetString("dataset", "taxi"), rows);
+  const std::string dataset = flags.GetString("dataset", "taxi");
+  flags.RejectUnread();
+  relation::Table table = MakeDataset(dataset, rows);
   auto status = relation::WriteCsv(table, out);
   if (!status.ok()) return Fail(status);
   std::printf("wrote %zu rows x %zu attributes to %s\n", table.num_rows(),
@@ -135,11 +134,6 @@ int CmdTrain(const util::Flags& flags) {
     std::fputs("train needs --csv, --types and --out\n", stderr);
     return 2;
   }
-  auto schema = SchemaFromCsvHeader(csv, types);
-  if (!schema.ok()) return Fail(schema.status());
-  auto table = relation::ReadCsv(csv, *schema);
-  if (!table.ok()) return Fail(table.status());
-
   vae::VaeAqpOptions options;
   options.epochs = static_cast<int>(flags.GetInt("epochs", 20));
   options.hidden_dim = static_cast<size_t>(flags.GetInt("hidden", 64));
@@ -151,7 +145,12 @@ int CmdTrain(const util::Flags& flags) {
                              : (enc == "integer"
                                     ? encoding::EncodingKind::kInteger
                                     : encoding::EncodingKind::kBinary);
+  flags.RejectUnread();
 
+  auto schema = SchemaFromCsvHeader(csv, types);
+  if (!schema.ok()) return Fail(schema.status());
+  auto table = relation::ReadCsv(csv, *schema);
+  if (!table.ok()) return Fail(table.status());
   std::printf("training on %zu rows (%s encoding, %d epochs)...\n",
               table->num_rows(), enc.c_str(), options.epochs);
   vae::TrainingStats stats;
@@ -179,6 +178,7 @@ util::Result<std::unique_ptr<vae::VaeAqpModel>> LoadModel(
 
 int CmdInfo(const util::Flags& flags) {
   auto model = LoadModel(flags);
+  flags.RejectUnread();
   if (!model.ok()) return Fail(model.status());
   const auto& enc = (*model)->tuple_encoder();
   std::printf("deepaqp VAE model\n");
@@ -211,6 +211,7 @@ int CmdGenerate(const util::Flags& flags) {
   const auto n = static_cast<size_t>(flags.GetInt("n", 1000));
   const double t = flags.GetDouble("t", (*model)->default_t());
   util::Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  flags.RejectUnread();
   relation::Table sample = (*model)->Generate(n, t, rng);
   auto status = relation::WriteCsv(sample, out);
   if (!status.ok()) return Fail(status);
@@ -232,6 +233,7 @@ int CmdQuery(const util::Flags& flags) {
   const auto samples = static_cast<size_t>(flags.GetInt("samples", 5000));
   const double t = flags.GetDouble("t", (*model)->default_t());
   util::Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  flags.RejectUnread();
 
   relation::Table sample = (*model)->Generate(samples, t, rng);
   auto query = aqp::ParseSql(sql, sample);
@@ -285,9 +287,10 @@ void PrintSnapshotStats(const util::SnapshotReader& snap) {
 /// operator can see what coverage survives.
 int CmdLoadModel(const util::Flags& flags) {
   auto bytes = ReadModelBytes(flags);
+  const bool tolerant = flags.GetBool("degraded", false);
+  flags.RejectUnread();
   if (!bytes.ok()) return Fail(bytes.status());
   auto snap = util::SnapshotReader::Open(*bytes);
-  const bool tolerant = flags.GetBool("degraded", false);
   if (!snap.ok() && tolerant) {
     snap = util::SnapshotReader::OpenTolerant(*bytes);
   }
@@ -335,6 +338,7 @@ int CmdSaveModel(const util::Flags& flags) {
     std::fputs("save-model needs --out <file.bin>\n", stderr);
     return 2;
   }
+  flags.RejectUnread();
   auto snap = util::SnapshotReader::Open(*bytes);
   if (!snap.ok()) return Fail(snap.status());
 
@@ -492,14 +496,8 @@ void InstallServeSignalHandlers() {
 /// Serves the daemon over TCP until SIGTERM/SIGINT, then drains gracefully:
 /// stop accepting, let in-flight streams finish (bounded), abort stragglers
 /// with SHUTTING_DOWN, flush, exit.
-int ServeTcp(server::AqpServer& srv, const util::Flags& flags, int port) {
-  server::SocketServer::Options sopts;
-  sopts.port = static_cast<uint16_t>(port);
-  sopts.bind_address = flags.GetString("bind", "127.0.0.1");
-  sopts.heartbeat_ms = static_cast<int>(
-      flags.GetInt("heartbeat-ms", flags.GetInt("heartbeat_ms", 5000)));
-  sopts.heartbeat_misses = static_cast<int>(flags.GetInt("heartbeat-misses", 3));
-  sopts.drain_deadline_ms = static_cast<int>(flags.GetInt("drain-ms", 5000));
+int ServeTcp(server::AqpServer& srv, const server::SocketServer::Options& sopts,
+             const std::string& port_file) {
   server::SocketServer sock(&srv, sopts);
   if (auto st = sock.Listen(); !st.ok()) return Fail(st);
   if (auto st = sock.Start(); !st.ok()) return Fail(st);
@@ -507,7 +505,6 @@ int ServeTcp(server::AqpServer& srv, const util::Flags& flags, int port) {
                sopts.bind_address.c_str(), sock.port());
   // Ephemeral-port discovery for scripts/tests: --port-file gets the bound
   // port once the listener is live.
-  const std::string port_file = flags.GetString("port-file", "");
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "w");
     if (f != nullptr) {
@@ -537,8 +534,6 @@ int ServeTcp(server::AqpServer& srv, const util::Flags& flags, int port) {
 int CmdServe(const util::Flags& flags) {
   InstallServeSignalHandlers();
   auto bytes = ReadModelBytes(flags);
-  if (!bytes.ok()) return Fail(bytes.status());
-
   server::AqpServer::Options opts;
   opts.client.initial_samples =
       static_cast<size_t>(flags.GetInt("samples", 2000));
@@ -551,15 +546,28 @@ int CmdServe(const util::Flags& flags) {
       flags.GetInt("max-sessions", flags.GetInt("max_sessions", 256)));
   opts.max_queued_per_session =
       static_cast<size_t>(flags.GetInt("max-queued", 256));
+  const std::string name = flags.GetString("name", "default");
+  const bool text = flags.GetBool("text", false);
+  const int listen_port = static_cast<int>(flags.GetInt("listen", -1));
+  server::SocketServer::Options sopts;
+  sopts.bind_address = flags.GetString("bind", "127.0.0.1");
+  sopts.heartbeat_ms = static_cast<int>(
+      flags.GetInt("heartbeat-ms", flags.GetInt("heartbeat_ms", 5000)));
+  sopts.heartbeat_misses = static_cast<int>(flags.GetInt("heartbeat-misses", 3));
+  sopts.drain_deadline_ms = static_cast<int>(flags.GetInt("drain-ms", 5000));
+  const std::string port_file = flags.GetString("port-file", "");
+  flags.RejectUnread();
+  if (!bytes.ok()) return Fail(bytes.status());
+
   server::AqpServer srv(opts);
-  auto version =
-      srv.registry().Register(flags.GetString("name", "default"), *bytes);
+  auto version = srv.registry().Register(name, *bytes);
   if (!version.ok()) return Fail(version.status());
 
-  if (flags.GetBool("text", false)) return ServeText(srv);
-
-  const int listen_port = static_cast<int>(flags.GetInt("listen", -1));
-  if (listen_port >= 0) return ServeTcp(srv, flags, listen_port);
+  if (text) return ServeText(srv);
+  if (listen_port >= 0) {
+    sopts.port = static_cast<uint16_t>(listen_port);
+    return ServeTcp(srv, sopts, port_file);
+  }
 
   auto sink = std::make_shared<server::StdioTransport>(stdout);
   for (;;) {
@@ -573,9 +581,7 @@ int CmdServe(const util::Flags& flags) {
     if (!request->has_value()) break;  // client hung up cleanly
     srv.Handle(**request, sink);
   }
-  if (g_shutdown_requested.load()) {
-    srv.Drain(static_cast<int>(flags.GetInt("drain-ms", 5000)));
-  }
+  if (g_shutdown_requested.load()) srv.Drain(sopts.drain_deadline_ms);
   srv.WaitIdle();
   if (!sink->last_error().ok()) {
     // The peer dropping its end mid-stream is a normal client lifecycle
@@ -605,18 +611,22 @@ int CmdClient(const util::Flags& flags) {
   copts.host = flags.GetString("host", "127.0.0.1");
   copts.port = static_cast<uint16_t>(port);
   copts.max_attempts = static_cast<int>(flags.GetInt("retries", 10));
+  const std::string name = flags.GetString("name", "default");
+  const auto samples = static_cast<uint64_t>(flags.GetInt("samples", 0));
+  const auto max_samples =
+      static_cast<uint64_t>(flags.GetInt("max-samples", 0));
+  const auto population = static_cast<uint64_t>(flags.GetInt("population", 0));
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
+  const double ci = flags.GetDouble("ci", 0.05);
+  flags.RejectUnread();
   server::RetryingConnection client(copts);
   if (auto st = client.Connect(); !st.ok()) return Fail(st);
-  if (auto st = client.OpenSession(
-          flags.GetString("name", "default"),
-          static_cast<uint64_t>(flags.GetInt("samples", 0)),
-          static_cast<uint64_t>(flags.GetInt("max-samples", 0)),
-          static_cast<uint64_t>(flags.GetInt("population", 0)),
-          static_cast<uint64_t>(flags.GetInt("seed", 0)));
+  if (auto st =
+          client.OpenSession(name, samples, max_samples, population, seed);
       !st.ok()) {
     return Fail(st);
   }
-  auto stream = client.RunQuery(sql, flags.GetDouble("ci", 0.05));
+  auto stream = client.RunQuery(sql, ci);
   if (!stream.ok()) return Fail(stream.status());
   for (const server::Estimate& est : stream->estimates) {
     for (const auto& g : est.result.groups) {
@@ -641,30 +651,24 @@ int main(int argc, char** argv) {
   util::Flags flags(argc - 1, argv + 1);
   // --pin off|compact|scatter selects the worker-placement policy; it must
   // precede ApplyThreadsFlag so the rebuilt pool plans placement under it.
-  // Like --kernel, the explicit flag is a hard error on unknown values
-  // (the DEEPAQP_PIN env var only warns).
+  // The explicit flag is a hard error on unknown values (the DEEPAQP_PIN
+  // env var only warns).
   if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
   util::ApplyThreadsFlag(flags);
-  aqp::ApplyEngineFlag(flags);
   util::ApplyFailpointsFlag(flags);
-  // --kernel naive|blocked|simd|auto switches the GEMM backend in-process;
-  // unlike the DEEPAQP_KERNEL env (which warns and falls back), an explicit
-  // flag naming an unavailable or unknown backend is a hard error.
-  if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   // --quant off|fp16|int8 selects the quantized decoder inference mode,
-  // with the same contract as --kernel: the DEEPAQP_QUANT env warns and
-  // falls back to fp32, an explicit flag is a hard error (including when
-  // the mode's kernel self-check fails on this CPU).
+  // with the same contract as --pin: the DEEPAQP_QUANT env warns and falls
+  // back to fp32, an explicit flag is a hard error (including when the
+  // mode's kernel self-check fails on this CPU).
   if (const util::Status st = nn::ApplyQuantFlag(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
+  const std::string fault_log = flags.GetString("fault-log", "");
+  // Each command reads its own flags, then rejects any flag nothing read.
   int rc;
   if (cmd == "make-data") rc = CmdMakeData(flags);
   else if (cmd == "train") rc = CmdTrain(flags);
@@ -679,7 +683,6 @@ int main(int argc, char** argv) {
   // Chaos observability: with fail points active, persist (or print) the
   // per-site fault counters so a chaos run leaves a structured record.
   if (util::FailpointsEnabled()) {
-    const std::string fault_log = flags.GetString("fault-log", "");
     const std::string json = util::FailpointReportJson();
     if (!fault_log.empty()) {
       std::FILE* f = std::fopen(fault_log.c_str(), "w");

@@ -111,10 +111,12 @@ int main(int argc, char** argv) {
   const double budget = flags.GetDouble("budget", 0.01);
   const std::vector<std::string> datasets =
       util::Split(flags.GetString("datasets", "census,flights"), ',');
+  const std::vector<std::string> mode_names =
+      util::Split(flags.GetString("modes", "fp16,int8"), ',');
+  flags.RejectUnread();
 
   std::vector<nn::QuantMode> modes;
-  for (const std::string& name :
-       util::Split(flags.GetString("modes", "fp16,int8"), ',')) {
+  for (const std::string& name : mode_names) {
     nn::QuantMode mode;
     if (const util::Status st = nn::ParseQuantMode(name, &mode); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
