@@ -123,19 +123,12 @@ struct BenchRecord {
 /// Collects BenchRecords and, when the binary was invoked with --json,
 /// writes them to BENCH_<bench>.json on Finish(). Text output per record is
 /// optional so figure benches can keep their own table format.
-///
-/// --json_name NAME redirects the output to BENCH_NAME.json, and
-/// --json_merge appends this run's records to an existing reporter file
-/// instead of overwriting it — together they let several bench binaries
-/// pool their rows into one artifact (CI's BENCH_quant.json combines
-/// bench_kernels and bench_fig13 rows this way).
 class BenchReporter {
  public:
   BenchReporter(const util::Flags& flags, std::string bench_name,
                 bool print_rows = true)
-      : bench_name_(flags.GetString("json_name", bench_name)),
+      : bench_name_(std::move(bench_name)),
         json_(flags.GetBool("json", false)),
-        merge_(flags.GetBool("json_merge", false)),
         print_rows_(print_rows) {}
 
   void Add(BenchRecord record) {
@@ -151,44 +144,17 @@ class BenchReporter {
   }
 
   /// Writes BENCH_<bench>.json if --json was given; returns the path ("" if
-  /// JSON output is disabled or the file could not be written). With
-  /// --json_merge, an existing reporter-written file at the same path keeps
-  /// its records and this run's rows are appended to the array (a missing
-  /// or foreign-format file degrades to a plain overwrite).
+  /// JSON output is disabled or the file could not be written).
   std::string Finish() const {
     if (!json_) return "";
     const std::string path = "BENCH_" + bench_name_ + ".json";
-    // The reporter's own output always ends with "\n  ]\n}\n"; merge by
-    // re-opening the array at that marker rather than parsing JSON.
-    std::string prefix;
-    if (merge_) {
-      if (std::FILE* in = std::fopen(path.c_str(), "rb")) {
-        std::string existing;
-        char buf[4096];
-        size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-          existing.append(buf, got);
-        }
-        std::fclose(in);
-        const std::string tail = "\n  ]\n}\n";
-        const size_t pos = existing.rfind(tail);
-        if (pos != std::string::npos) prefix = existing.substr(0, pos);
-      }
-    }
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return "";
     }
-    if (prefix.empty()) {
-      std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"records\": [\n",
-                   bench_name_.c_str());
-    } else {
-      std::fwrite(prefix.data(), 1, prefix.size(), f);
-      // No comma after an empty existing array (prefix ends with '[').
-      const bool had_rows = prefix.back() != '[';
-      std::fprintf(f, "%s\n", had_rows && !records_.empty() ? "," : "");
-    }
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"records\": [\n",
+                 bench_name_.c_str());
     for (size_t i = 0; i < records_.size(); ++i) {
       const BenchRecord& r = records_[i];
       std::fprintf(f,
@@ -203,8 +169,7 @@ class BenchReporter {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("wrote %s (%zu records%s)\n", path.c_str(), records_.size(),
-                prefix.empty() ? "" : ", merged");
+    std::printf("wrote %s (%zu records)\n", path.c_str(), records_.size());
     return path;
   }
 
@@ -213,7 +178,6 @@ class BenchReporter {
  private:
   std::string bench_name_;
   bool json_;
-  bool merge_;
   bool print_rows_;
   std::vector<BenchRecord> records_;
 };

@@ -18,14 +18,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 
 #include "nn/arena.h"
 #include "nn/kernels.h"
-#include "nn/kernels_quant.h"
-#include "nn/kernels_quant_internal.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "util/cpu_features.h"
@@ -197,84 +194,6 @@ int main(int argc, char** argv) {
                   1});
   }
 
-  // --- Quantized decoder forward (int8 / fp16) vs the fp32 fused path on
-  // the same shape. Doubles as a correctness gate: int8 must be
-  // bit-identical between its scalar oracle and the SIMD kernel, and both
-  // quantized modes must stay within their documented error envelope of the
-  // fp32 output. The speedup line against fp32 on the best fp32 backend is
-  // the acceptance evidence for the quantized path.
-  bool quant_gate_failed = false;
-  {
-    const size_t batch = 256;
-    const size_t hidden = quick ? 64 : 256;
-    const nn::Matrix x = RandomMatrix(batch, hidden, rng);
-    const nn::Matrix w = RandomMatrix(hidden, hidden, rng);
-    const nn::Matrix bias = RandomMatrix(1, hidden, rng);
-    const double flops = 2.0 * static_cast<double>(batch * hidden * hidden);
-    nn::SetGemmKernel(backends.back());  // best fp32 backend on this machine
-    nn::Matrix ref;
-    nn::FusedLinearForward(x, w, bias, nn::Activation::kRelu, 0.0f, &ref);
-    nn::Matrix out;
-    const double ns_fp32 = bench::MeasureNsPerOp(
-        [&] {
-          nn::FusedLinearForward(x, w, bias, nn::Activation::kRelu, 0.0f,
-                                 &out);
-        },
-        budget);
-    for (nn::QuantMode mode : {nn::QuantMode::kFp16, nn::QuantMode::kInt8}) {
-      nn::QuantizedLinear q;
-      if (const util::Status st = nn::QuantizeLinear(w, bias, mode, &q);
-          !st.ok()) {
-        std::fprintf(stderr, "FAIL: QuantizeLinear(%s): %s\n",
-                     nn::QuantModeName(mode), st.ToString().c_str());
-        quant_gate_failed = true;
-        continue;
-      }
-      nn::Matrix got;
-      nn::QuantizedLinearForward(x, q, nn::Activation::kRelu, 0.0f, &got);
-      // Error vs fp32, normalized like the GEMM gate. int8 carries the
-      // 8-bit weight+activation rounding; fp16 only the weight rounding.
-      const double err = GemmRelError(x, false, w, false, ref, got);
-      const double tol = mode == nn::QuantMode::kInt8 ? 0.03 : 2e-3;
-      if (err > tol) {
-        std::fprintf(stderr, "FAIL: quant %s deviates from fp32: %.3g > %g\n",
-                     nn::QuantModeName(mode), err, tol);
-        quant_gate_failed = true;
-      }
-      if (mode == nn::QuantMode::kInt8 &&
-          nn::QuantSimdAvailable(nn::QuantMode::kInt8)) {
-        nn::Matrix scalar_out;
-        nn::internal::QuantizedLinearForwardImpl(
-            x, q, nn::Activation::kRelu, 0.0f, &scalar_out,
-            /*use_simd=*/false);
-        if (scalar_out.rows() != got.rows() ||
-            scalar_out.cols() != got.cols() ||
-            std::memcmp(scalar_out.data(), got.data(),
-                        got.size() * sizeof(float)) != 0) {
-          std::fprintf(stderr,
-                       "FAIL: int8 scalar oracle and SIMD kernel disagree\n");
-          quant_gate_failed = true;
-        }
-      }
-      const double ns = bench::MeasureNsPerOp(
-          [&] {
-            nn::QuantizedLinearForward(x, q, nn::Activation::kRelu, 0.0f,
-                                       &got);
-          },
-          budget);
-      char shape[80];
-      std::snprintf(shape, sizeof(shape), "m=%zu k=%zu n=%zu relu %s", batch,
-                    hidden, hidden,
-                    nn::QuantSimdAvailable(mode) ? "simd" : "scalar");
-      const std::string name =
-          std::string("quant_linear_") + nn::QuantModeName(mode);
-      reporter.Add({name, shape, ns, flops / ns, 1});
-      std::printf("  -> quant %s speedup over fp32 %s: %.2fx (err %.3g)\n",
-                  nn::QuantModeName(mode),
-                  nn::GemmKernelKindName(backends.back()), ns_fp32 / ns, err);
-    }
-  }
-
   // --- Vectorized sigmoid: scalar std::exp loop vs each fast backend.
   {
     const size_t count = 1 << 16;
@@ -341,6 +260,5 @@ int main(int argc, char** argv) {
                  "tolerance\n");
     return 1;
   }
-  if (quant_gate_failed) return 1;
   return 0;
 }

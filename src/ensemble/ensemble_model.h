@@ -89,26 +89,6 @@ class EnsembleModel {
   size_t num_members() const { return members_.size(); }
   vae::VaeAqpModel& member(size_t i) { return *members_[i]; }
 
-  /// (Re)builds every member's quantized decoder plan for `mode` (see
-  /// vae::VaeAqpModel::PrepareQuantized). All-or-nothing: on the first
-  /// member failure the already-prepared members are reverted to fp32 and
-  /// the error is returned, so the ensemble never generates with a mixed
-  /// fp32/quantized membership.
-  util::Status PrepareQuantized(nn::QuantMode mode) {
-    for (size_t i = 0; i < members_.size(); ++i) {
-      const util::Status st = members_[i]->PrepareQuantized(mode);
-      if (!st.ok()) {
-        for (size_t j = 0; j < i; ++j) {
-          (void)members_[j]->PrepareQuantized(nn::QuantMode::kOff);
-        }
-        return util::Status::FailedPrecondition(
-            "ensemble member " + std::to_string(i) +
-            " quantization failed: " + std::string(st.message()));
-      }
-    }
-    return util::Status::OK();
-  }
-
   /// Combined serialized size of all members.
   size_t ModelSizeBytes() const;
 

@@ -397,14 +397,19 @@ void ApplyActivation(Activation act, float leaky_slope, float* data,
   switch (act) {
     case Activation::kIdentity:
       return;
+    // Selects, not conditional stores: this TU is built for baseline x86-64,
+    // where a conditional store stays one branch per element, and hidden
+    // activations' random signs mispredict it. ReLU's select vectorizes to
+    // a compare and a mask with the same IEEE results (-0 -> +0, NaN stays
+    // NaN).
     case Activation::kRelu:
       for (size_t i = 0; i < n; ++i) {
-        if (data[i] <= 0.0f) data[i] = 0.0f;
+        data[i] = data[i] <= 0.0f ? 0.0f : data[i];
       }
       return;
     case Activation::kLeakyRelu:
       for (size_t i = 0; i < n; ++i) {
-        if (data[i] < 0.0f) data[i] *= leaky_slope;
+        data[i] = data[i] < 0.0f ? data[i] * leaky_slope : data[i];
       }
       return;
     case Activation::kSigmoid:

@@ -74,13 +74,13 @@ util::Result<std::unique_ptr<Linear>> Linear::Deserialize(
 
 Matrix Relu::Forward(const Matrix& input) {
   Matrix out = input;
-  mask_ = Matrix(input.rows(), input.cols());
+  mask_.Resize(input.rows(), input.cols());
+  float* o = out.data();
+  float* m = mask_.data();
   for (size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] > 0.0f) {
-      mask_.data()[i] = 1.0f;
-    } else {
-      out.data()[i] = 0.0f;
-    }
+    const bool on = o[i] > 0.0f;  // false for NaN: zeroed, mask 0
+    m[i] = on ? 1.0f : 0.0f;
+    o[i] = on ? o[i] : 0.0f;
   }
   return out;
 }
@@ -97,8 +97,9 @@ Matrix Relu::Backward(const Matrix& grad_output) {
 Matrix LeakyRelu::Forward(const Matrix& input) {
   input_cache_ = input;
   Matrix out = input;
+  float* o = out.data();
   for (size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0f) out.data()[i] *= slope_;
+    o[i] = o[i] < 0.0f ? o[i] * slope_ : o[i];
   }
   return out;
 }

@@ -29,8 +29,6 @@ uint64_t ModelRegistry::InstallLocked(
   snap->name = name;
   auto it = models_.find(name);
   snap->version = it == models_.end() ? 1 : it->second->version + 1;
-  snap->quant_mode =
-      model != nullptr ? model->prepared_quant_mode() : nn::QuantMode::kOff;
   snap->model = std::move(model);
   snap->snapshot_bytes = snapshot_bytes;
   const uint64_t version = snap->version;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/kernels_quant.h"
 #include "util/status.h"
 #include "vae/vae_model.h"
 
@@ -28,11 +27,6 @@ struct ModelSnapshot {
   std::shared_ptr<const vae::VaeAqpModel> model;
   /// Serialized size (0 when installed from an in-memory model).
   size_t snapshot_bytes = 0;
-  /// Decoder quantization plan the model carried at install time
-  /// (nn::QuantMode::kOff for plain fp32). Provenance only — whether
-  /// generation actually runs quantized is still gated by the process-wide
-  /// nn::ActiveQuantMode() matching the prepared mode.
-  nn::QuantMode quant_mode = nn::QuantMode::kOff;
 };
 
 /// Registry of shared read-only models, keyed by name. Loading happens once

@@ -1,5 +1,6 @@
 #include "util/cpu_features.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -22,8 +23,6 @@ CpuFeatures Detect() {
   __builtin_cpu_init();
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
-  f.f16c = __builtin_cpu_supports("f16c") != 0;
-  f.avx512f = __builtin_cpu_supports("avx512f") != 0;
 #elif defined(__aarch64__)
 #if defined(__linux__)
   f.neon = (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
@@ -33,14 +32,12 @@ CpuFeatures Detect() {
 #endif
 #endif
   const char* disable = std::getenv("DEEPAQP_CPU_DISABLE");
-  if (disable != nullptr && disable[0] != '\0') {
-    for (const std::string& name : Split(disable, ',')) {
-      const std::string token = Trim(name);
-      if (token == "avx2") f.avx2 = false;
-      if (token == "fma") f.fma = false;
-      if (token == "f16c") f.f16c = false;
-      if (token == "avx512f") f.avx512f = false;
-      if (token == "neon") f.neon = false;
+  if (disable != nullptr) {
+    for (const std::string& token : ApplyCpuDisableMask(disable, &f)) {
+      std::fprintf(stderr,
+                   "DEEPAQP_CPU_DISABLE token '%s' not recognized "
+                   "(avx2|fma|neon); ignoring it\n",
+                   token.c_str());
     }
   }
   return f;
@@ -49,6 +46,24 @@ CpuFeatures Detect() {
 const CpuFeatures* g_test_override = nullptr;
 
 }  // namespace
+
+std::vector<std::string> ApplyCpuDisableMask(std::string_view mask,
+                                             CpuFeatures* features) {
+  std::vector<std::string> unknown;
+  for (const std::string& name : Split(mask, ',')) {
+    std::string token = Trim(name);
+    if (token == "avx2") {
+      features->avx2 = false;
+    } else if (token == "fma") {
+      features->fma = false;
+    } else if (token == "neon") {
+      features->neon = false;
+    } else if (!token.empty()) {
+      unknown.push_back(std::move(token));
+    }
+  }
+  return unknown;
+}
 
 const CpuFeatures& CpuInfo() {
   static const CpuFeatures detected = Detect();
@@ -67,8 +82,6 @@ std::string CpuFeaturesToString(const CpuFeatures& features) {
   };
   if (features.avx2) add("avx2");
   if (features.fma) add("fma");
-  if (features.f16c) add("f16c");
-  if (features.avx512f) add("avx512f");
   if (features.neon) add("neon");
   return out;
 }

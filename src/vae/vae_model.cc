@@ -19,23 +19,6 @@ using nn::Matrix;
 
 namespace {
 
-/// Builds the quantized decoder plan for the process-wide active mode so a
-/// freshly trained / deserialized model is immediately usable under
-/// DEEPAQP_QUANT. Preparation failure (e.g. non-finite weights) downgrades
-/// to fp32 with a warning rather than failing model construction — the
-/// quantized plan is a derived acceleration, never required for
-/// correctness.
-void PrepareQuantizedForActiveMode(VaeAqpModel* model) {
-  const nn::QuantMode mode = nn::ActiveQuantMode();
-  if (mode == nn::QuantMode::kOff) return;
-  const util::Status st = model->PrepareQuantized(mode);
-  if (!st.ok()) {
-    DEEPAQP_LOG(Warning) << "quantized decoder prep (" <<
-        nn::QuantModeName(mode) << ") failed: " << st.message()
-        << "; model stays fp32";
-  }
-}
-
 /// Every generated attribute costs `draws` decodes, so Train and Deserialize
 /// share one cap: no model is saved that will not load, and an untrusted
 /// snapshot cannot stall every session that generates from it.
@@ -340,7 +323,6 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Train(
     stats->report = report;
     stats->total_seconds = total_watch.ElapsedSeconds();
   }
-  PrepareQuantizedForActiveMode(model.get());
   return model;
 }
 
@@ -667,7 +649,6 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Deserialize(
                            encoding::TupleEncoder::Deserialize(enc_r));
   DEEPAQP_ASSIGN_OR_RETURN(util::ByteReader net_r, snap.Section("net"));
   DEEPAQP_ASSIGN_OR_RETURN(model->net_, VaeNet::Deserialize(net_r));
-  PrepareQuantizedForActiveMode(model.get());
   return model;
 }
 

@@ -203,21 +203,6 @@ class VaeAqpModel {
   static util::Result<std::unique_ptr<VaeAqpModel>> Deserialize(
       const std::vector<uint8_t>& bytes);
 
-  /// (Re)builds the decoder's quantized inference plan for `mode` from the
-  /// canonical fp32 weights (kOff discards it). Generation uses the plan
-  /// only while `mode` matches nn::ActiveQuantMode(); training and the
-  /// serialized format stay fp32. Train()/Deserialize() call this
-  /// automatically for the active mode, so explicit calls are only needed
-  /// after switching modes at runtime (benchmarks, tests).
-  util::Status PrepareQuantized(nn::QuantMode mode) {
-    return net_->PrepareQuantizedDecoder(mode);
-  }
-
-  /// Mode of the currently prepared decoder plan (kOff when none).
-  nn::QuantMode prepared_quant_mode() const {
-    return net_->prepared_quant_mode();
-  }
-
   const encoding::TupleEncoder& tuple_encoder() const { return encoder_; }
   VaeNet& net() { return *net_; }
   const VaeAqpOptions& options() const { return options_; }

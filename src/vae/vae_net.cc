@@ -71,27 +71,7 @@ Matrix VaeNet::DecodeLogitsConst(const Matrix& z) const {
 
 void VaeNet::DecodeLogitsConstInto(const Matrix& z, Matrix* logits,
                                    nn::ScratchArena* arena) const {
-  // The quantized plan engages only when it matches the process-wide active
-  // mode: under DEEPAQP_QUANT=off (or with no prepared plan) this is the
-  // canonical fp32 path, bit for bit, and a plan prepared for one mode can
-  // never serve another.
-  const nn::QuantMode active = nn::ActiveQuantMode();
-  if (active != nn::QuantMode::kOff && decoder_quant_.mode == active) {
-    nn::QuantizedInferenceForwardInto(decoder_quant_, z, logits, arena);
-    return;
-  }
   nn::InferenceForwardInto(*decoder_, z, logits, arena);
-}
-
-util::Status VaeNet::PrepareQuantizedDecoder(nn::QuantMode mode) {
-  if (mode == nn::QuantMode::kOff) {
-    decoder_quant_ = nn::QuantizedSequential();
-    return util::Status::OK();
-  }
-  nn::QuantizedSequential plan;
-  DEEPAQP_RETURN_IF_ERROR(nn::QuantizeSequential(*decoder_, mode, &plan));
-  decoder_quant_ = std::move(plan);
-  return util::Status::OK();
 }
 
 Matrix VaeNet::Reparameterize(const Posterior& post, const Matrix& eps) {

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "nn/kernels_quant.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/matrix.h"
@@ -181,18 +180,6 @@ class VaeNet {
   static util::Result<std::unique_ptr<VaeNet>> Deserialize(
       util::ByteReader& r);
 
-  /// (Re)builds the quantized decoder plan for `mode` from the canonical
-  /// fp32 weights (kOff clears it). The plan is used by the const decoder
-  /// forwards — i.e. the sampling hot path — only while the prepared mode
-  /// equals nn::ActiveQuantMode(), so DEEPAQP_QUANT=off stays bit-identical
-  /// to a build without quantization and a stale plan can never leak into a
-  /// different mode. Training always runs fp32. Not thread-safe; call
-  /// before sharing the net (Train / Deserialize do it automatically).
-  util::Status PrepareQuantizedDecoder(nn::QuantMode mode);
-
-  /// Mode of the currently prepared decoder plan (kOff when none).
-  nn::QuantMode prepared_quant_mode() const { return decoder_quant_.mode; }
-
  private:
   VaeNet() = default;
 
@@ -201,9 +188,6 @@ class VaeNet {
   std::unique_ptr<nn::Linear> mu_head_;
   std::unique_ptr<nn::Linear> logvar_head_;
   std::unique_ptr<nn::Sequential> decoder_;
-  /// Derived, never-serialized quantized view of decoder_ (see
-  /// PrepareQuantizedDecoder). mode == kOff when not prepared.
-  nn::QuantizedSequential decoder_quant_;
 };
 
 }  // namespace deepaqp::vae

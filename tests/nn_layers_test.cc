@@ -1,10 +1,14 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels.h"
 #include "nn/loss.h"
 
 namespace deepaqp::nn {
@@ -133,6 +137,114 @@ TEST(ReluTest, ForwardAndGradient) {
   EXPECT_EQ(dx.At(0, 0), 0.0f);
   EXPECT_EQ(dx.At(0, 1), 1.0f);
   EXPECT_EQ(dx.At(0, 3), 0.0f);
+}
+
+// The activations' IEEE edge cases, pinned bit for bit: -0, +0, NaN, +inf,
+// -inf, the smallest denormal of each sign, and +-1. With a slope of 0.25
+// every leaky output is a literal (-denorm_min * 0.25 rounds to -0).
+constexpr float kEdgeSlope = 0.25f;
+const std::vector<uint32_t> kEdgeInputs = {
+    0x80000000u, 0x00000000u, 0x7fc00000u, 0x7f800000u, 0xff800000u,
+    0x00000001u, 0x80000001u, 0x3f800000u, 0xbf800000u};
+const std::vector<uint32_t> kReluEdgeOutputs = {
+    0x00000000u, 0x00000000u, 0x7fc00000u, 0x7f800000u, 0x00000000u,
+    0x00000001u, 0x00000000u, 0x3f800000u, 0x00000000u};
+const std::vector<uint32_t> kLeakyEdgeOutputs = {
+    0x80000000u, 0x00000000u, 0x7fc00000u, 0x7f800000u, 0xff800000u,
+    0x00000001u, 0x80000000u, 0x3f800000u, 0xbe800000u};
+
+Matrix FromBits(const std::vector<uint32_t>& bits) {
+  Matrix m(1, bits.size());
+  std::memcpy(m.data(), bits.data(), bits.size() * sizeof(float));
+  return m;
+}
+
+std::vector<uint32_t> ToBits(const Matrix& m) {
+  std::vector<uint32_t> bits(m.size());
+  std::memcpy(bits.data(), m.data(), bits.size() * sizeof(float));
+  return bits;
+}
+
+using BitsFn =
+    std::function<std::vector<uint32_t>(const std::vector<uint32_t>&)>;
+
+/// Runs `fn` on each edge input alone, which takes a loop's scalar path,
+/// and on the inputs repeated 8 times, which puts every value in vector
+/// lanes, and compares each result with `want` bit for bit.
+void ExpectEdgeBits(const BitsFn& fn, const std::vector<uint32_t>& want) {
+  for (size_t i = 0; i < kEdgeInputs.size(); ++i) {
+    EXPECT_EQ(fn({kEdgeInputs[i]}), std::vector<uint32_t>{want[i]})
+        << "input " << i;
+  }
+  std::vector<uint32_t> in;
+  std::vector<uint32_t> out;
+  for (int copy = 0; copy < 8; ++copy) {
+    in.insert(in.end(), kEdgeInputs.begin(), kEdgeInputs.end());
+    out.insert(out.end(), want.begin(), want.end());
+  }
+  EXPECT_EQ(fn(in), out);
+}
+
+BitsFn ApplyActivationBits(Activation act) {
+  return [act](const std::vector<uint32_t>& in) {
+    Matrix x = FromBits(in);
+    ApplyActivation(act, kEdgeSlope, x.data(), x.size());
+    return ToBits(x);
+  };
+}
+
+TEST(ActivationEdgeTest, ApplyActivationRelu) {
+  ExpectEdgeBits(ApplyActivationBits(Activation::kRelu), kReluEdgeOutputs);
+}
+
+TEST(ActivationEdgeTest, ApplyActivationLeakyRelu) {
+  ExpectEdgeBits(ApplyActivationBits(Activation::kLeakyRelu),
+                 kLeakyEdgeOutputs);
+}
+
+TEST(ActivationEdgeTest, ReluLayerForwardAndBackwardMask) {
+  // The layer zeroes NaN (its mask is x > 0), unlike ApplyActivation.
+  ExpectEdgeBits(
+      [](const std::vector<uint32_t>& in) {
+        Relu relu;
+        return ToBits(relu.Forward(FromBits(in)));
+      },
+      {0x00000000u, 0x00000000u, 0x00000000u, 0x7f800000u, 0x00000000u,
+       0x00000001u, 0x00000000u, 0x3f800000u, 0x00000000u});
+  // -2 * mask: -2 where the mask is 1, -0 where it is 0.
+  ExpectEdgeBits(
+      [](const std::vector<uint32_t>& in) {
+        Relu relu;
+        relu.Forward(FromBits(in));
+        return ToBits(relu.Backward(Matrix(1, in.size(), -2.0f)));
+      },
+      {0x80000000u, 0x80000000u, 0x80000000u, 0xc0000000u, 0x80000000u,
+       0xc0000000u, 0x80000000u, 0xc0000000u, 0x80000000u});
+  // A smaller second call reuses the mask storage and rewrites all of it.
+  Relu relu;
+  relu.Forward(FromBits(kEdgeInputs));
+  EXPECT_EQ(ToBits(relu.Forward(FromBits({0x3f800000u, 0xbf800000u}))),
+            (std::vector<uint32_t>{0x3f800000u, 0x00000000u}));
+  EXPECT_EQ(ToBits(relu.Backward(Matrix(1, 2, -2.0f))),
+            (std::vector<uint32_t>{0xc0000000u, 0x80000000u}));
+}
+
+TEST(ActivationEdgeTest, LeakyReluLayerForwardAndBackward) {
+  ExpectEdgeBits(
+      [](const std::vector<uint32_t>& in) {
+        LeakyRelu leaky(kEdgeSlope);
+        return ToBits(leaky.Forward(FromBits(in)));
+      },
+      kLeakyEdgeOutputs);
+  // -2 * slope = -0.5 where the input is < 0 (not for -0 or NaN), else -2.
+  ExpectEdgeBits(
+      [](const std::vector<uint32_t>& in) {
+        LeakyRelu leaky(kEdgeSlope);
+        leaky.Forward(FromBits(in));
+        return ToBits(leaky.Backward(Matrix(1, in.size(), -2.0f)));
+      },
+      {0xc0000000u, 0xc0000000u, 0xc0000000u, 0xc0000000u, 0xbf000000u,
+       0xc0000000u, 0xbf000000u, 0xc0000000u, 0xbf000000u});
 }
 
 TEST(LeakyReluTest, GradientCheck) {

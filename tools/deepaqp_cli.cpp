@@ -35,7 +35,6 @@
 #include "data/generators.h"
 #include "encoding/tuple_encoder.h"
 #include "ensemble/ensemble_model.h"
-#include "nn/kernels_quant.h"
 #include "relation/csv.h"
 #include "server/server.h"
 #include "server/socket_client.h"
@@ -66,8 +65,7 @@ int Usage() {
       "|client> "
       "[--flags]\n"
       "run with a command and no flags for that command's requirements\n"
-      "global flags: --threads N, --pin off|compact|scatter, "
-      "--quant off|fp16|int8\n",
+      "global flags: --threads N, --pin off|compact|scatter\n",
       stderr);
   return 2;
 }
@@ -659,14 +657,6 @@ int main(int argc, char** argv) {
   }
   util::ApplyThreadsFlag(flags);
   util::ApplyFailpointsFlag(flags);
-  // --quant off|fp16|int8 selects the quantized decoder inference mode,
-  // with the same contract as --pin: the DEEPAQP_QUANT env warns and falls
-  // back to fp32, an explicit flag is a hard error (including when the
-  // mode's kernel self-check fails on this CPU).
-  if (const util::Status st = nn::ApplyQuantFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   const std::string fault_log = flags.GetString("fault-log", "");
   // Each command reads its own flags, then rejects any flag nothing read.
   int rc;
