@@ -77,11 +77,9 @@ int main(int argc, char** argv) {
     nn::Matrix logits(512, encoder->encoded_dim());
     util::Rng rng(5);
     logits.RandomizeGaussian(rng, 2.0f);
-    const encoding::DecodeOptions decode{
-        encoding::DecodeStrategy::kWeightedRandom, 8};
     const double ns = bench::MeasureNsPerOp(
         [&] {
-          auto t = encoder->DecodeLogits(logits, decode, rng);
+          auto t = encoder->DecodeLogits(logits, rng);
           (void)t;
         },
         budget);

@@ -138,8 +138,7 @@ relation::Table WganModel::Generate(size_t n, util::Rng& rng) {
       const float p = std::clamp(probs.data()[i], 1e-6f, 1.0f - 1e-6f);
       logits.data()[i] = std::log(p / (1.0f - p));
     }
-    relation::Table decoded =
-        encoder_.DecodeLogits(logits, options_.decode, rng);
+    relation::Table decoded = encoder_.DecodeLogits(logits, rng);
     DEEPAQP_CHECK(out.Append(decoded).ok());
   }
   return out;

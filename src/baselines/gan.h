@@ -33,7 +33,6 @@ class WganModel {
     /// Weight-clipping limit for the critic.
     float clip = 0.01f;
     uint64_t seed = 41;
-    encoding::DecodeOptions decode;
   };
 
   struct TrainDiagnostics {

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -235,139 +232,11 @@ int32_t DrawCode(EncodingKind kind, const TupleEncoder::AttrLayout& layout,
   return 0;
 }
 
-/// A caller-owned buffer that BumpAllocator hands out front to back.
-struct BumpArena {
-  std::byte* begin;
-  std::byte* next;
-  std::byte* end;
-
-  bool Owns(const void* p) const {
-    const auto addr = reinterpret_cast<uintptr_t>(p);
-    return addr >= reinterpret_cast<uintptr_t>(begin) &&
-           addr < reinterpret_cast<uintptr_t>(end);
-  }
-};
-
-/// Allocator for one short-lived tally map: bump allocation inside a
-/// BumpArena, where deallocation is a no-op, and operator new past its end.
-/// Unlike a std::pmr resource it needs no virtual call per node, which is
-/// most of what a pmr map's allocations cost at this size.
-template <class T>
-class BumpAllocator {
- public:
-  using value_type = T;
-
-  explicit BumpAllocator(BumpArena* arena) : arena_(arena) {}
-  template <class U>
-  BumpAllocator(const BumpAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(size_t n) {
-    void* at = arena_->next;
-    size_t space = static_cast<size_t>(arena_->end - arena_->next);
-    if (n <= space / sizeof(T) &&
-        std::align(alignof(T), n * sizeof(T), at, space) != nullptr) {
-      arena_->next = static_cast<std::byte*>(at) + n * sizeof(T);
-      return static_cast<T*>(at);
-    }
-    return std::allocator<T>().allocate(n);
-  }
-
-  void deallocate(T* p, size_t n) {
-    if (!arena_->Owns(p)) std::allocator<T>().deallocate(p, n);
-  }
-
-  BumpArena* arena() const { return arena_; }
-  template <class U>
-  bool operator==(const BumpAllocator<U>& other) const {
-    return arena_ == other.arena();
-  }
-
- private:
-  BumpArena* arena_;
-};
-
-/// One attribute's aggregated draws, tallied once all are in: first_[i] is
-/// the index of the first draw equal to draw i, and count_[f] counts the
-/// draws whose first is f. The scans have fixed trip counts, so they run
-/// without data-dependent branches; their n^2 / 2 comparisons stay small
-/// because draws are capped at kMaxDecodeDraws (the library uses 1-32).
-class Tally {
- public:
-  explicit Tally(size_t draws)
-      : drawn_(draws), first_(draws), count_(draws) {}
-
-  /// Slot for draw `d`; fill all of them, then call Count().
-  int32_t& draw(size_t d) { return drawn_[d]; }
-
-  void Count() {
-    const size_t n = drawn_.size();
-    distinct_ = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t first = i;
-      for (size_t j = i; j-- > 0;) first = drawn_[j] == drawn_[i] ? j : first;
-      first_[i] = first;
-      count_[i] = 0;
-      distinct_ += first == i;
-    }
-    for (size_t i = 0; i < n; ++i) ++count_[first_[i]];
-  }
-
-  /// Max-vote: the most frequent code, ties going to the smallest. No
-  /// iteration order enters this answer.
-  int32_t MostFrequent() const {
-    size_t best = 0;
-    for (size_t i = 1; i < drawn_.size(); ++i) {
-      if (first_[i] == i &&
-          (count_[i] > count_[best] ||
-           (count_[i] == count_[best] && drawn_[i] < drawn_[best]))) {
-        best = i;
-      }
-    }
-    return drawn_[best];
-  }
-
-  /// Weighted-random pick: code v with probability count(v) / n, via one
-  /// NextIndex(n). Which code an index lands on follows the iteration
-  /// order of a std::unordered_map tally, and byte-identical pools pin that
-  /// order (DESIGN.md Sec. 18). The map's layout depends only on the order
-  /// in which new keys arrive, so inserting each distinct code once, in
-  /// first-draw order, reproduces a draw-by-draw ++counts[code]; the same
-  /// container over a stack buffer does it without heap allocations.
-  int32_t WeightedPick(util::Rng& rng) const {
-    int64_t pick = static_cast<int64_t>(rng.NextIndex(drawn_.size()));
-    // One distinct code takes every pick; the draw above still happens, so
-    // the rng stream stays aligned with the tally path.
-    if (distinct_ == 1) return drawn_[0];
-    using Allocator = BumpAllocator<std::pair<const int32_t, int>>;
-    alignas(std::max_align_t) std::byte buffer[1024];
-    BumpArena arena{buffer, buffer, buffer + sizeof(buffer)};
-    std::unordered_map<int32_t, int, std::hash<int32_t>,
-                       std::equal_to<int32_t>, Allocator>
-        counts{Allocator(&arena)};
-    for (size_t i = 0; i < drawn_.size(); ++i) {
-      if (first_[i] == i) counts[drawn_[i]] = count_[i];
-    }
-    for (const auto& [value, count] : counts) {
-      pick -= count;
-      if (pick < 0) return value;
-    }
-    return 0;  // unreachable: the counts sum to n > pick
-  }
-
- private:
-  std::vector<int32_t> drawn_;
-  std::vector<size_t> first_;
-  std::vector<int> count_;
-  size_t distinct_ = 0;
-};
-
 }  // namespace
 
 relation::Table TupleEncoder::DecodeLogits(const nn::Matrix& logits,
-                                           const DecodeOptions& options,
                                            util::Rng& rng) const {
   DEEPAQP_CHECK_EQ(logits.cols(), encoded_dim_);
-  DEEPAQP_CHECK_LE(options.draws, kMaxDecodeDraws);
   const size_t rows = logits.rows();
   const size_t m = schema_.num_attributes();
   Table out(schema_);
@@ -389,30 +258,15 @@ relation::Table TupleEncoder::DecodeLogits(const nn::Matrix& logits,
     }
   }
 
-  // Aggregated strategies decode each attribute `draws` times (Sec. IV-E).
-  const bool aggregate = options.strategy != DecodeStrategy::kNaive;
-  const size_t draws = aggregate ? std::max(1, options.draws) : 1;
   std::vector<float> probs(encoded_dim_);
-  Tally tally(draws);
   for (size_t r = 0; r < rows; ++r) {
     const float* z = logits.Row(r);
     for (size_t i = 0; i < encoded_dim_; ++i) probs[i] = SigmoidF(z[i]);
 
     for (size_t c = 0; c < m; ++c) {
       const AttrLayout& layout = layout_[c];
-      const float* p = probs.data() + layout.offset;
-      int32_t code = 0;
-      if (!aggregate) {
-        code = DrawCode(options_.kind, layout, p, rng);
-      } else {
-        for (size_t d = 0; d < draws; ++d) {
-          tally.draw(d) = DrawCode(options_.kind, layout, p, rng);
-        }
-        tally.Count();
-        code = options.strategy == DecodeStrategy::kMaxVote
-                   ? tally.MostFrequent()
-                   : tally.WeightedPick(rng);
-      }
+      const int32_t code = DrawCode(options_.kind, layout,
+                                    probs.data() + layout.offset, rng);
       if (layout.is_numeric) {
         num[c][r] = ValueOfBin(layout, code, rng);
       } else {

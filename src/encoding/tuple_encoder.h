@@ -25,40 +25,10 @@ enum class EncodingKind {
 
 const char* EncodingKindName(EncodingKind kind);
 
-/// Output-decoding strategies (Sec. IV-E "Effective Decoding" and Fig. 7).
-enum class DecodeStrategy {
-  /// One stochastic draw from the decoder's Bernoulli outputs; can produce
-  /// invalid tuples (e.g., a binary code outside the domain), which are then
-  /// clamped — this is the paper's strawman.
-  kNaive,
-  /// `draws` stochastic samples per latent point; each attribute takes its
-  /// most frequent decoded value (the paper's "max" aggregation).
-  kMaxVote,
-  /// `draws` samples; each attribute value is drawn from the empirical
-  /// frequency distribution of the draws (the paper's "weighted random").
-  /// Picking value v with probability count(v) / D from D independent draws
-  /// returns draw J for a uniform J, so each decoded attribute is
-  /// distributed exactly like one kNaive draw; only the sample stream (and
-  /// the D-fold decode cost) differs.
-  kWeightedRandom,
-};
-
-/// Largest accepted DecodeOptions::draws. Every generated attribute costs
-/// `draws` stochastic decodes, so a model snapshot may not ask for more
-/// (VaeAqpModel::Train and Deserialize reject it); the library and its
-/// experiments use 1-32.
-inline constexpr int kMaxDecodeDraws = 1024;
-
-struct DecodeOptions {
-  /// Weighted-random is the library default: max-vote aggregation amplifies
-  /// majority modes whenever the decoder is not sharply confident per
-  /// latent point, which biases categorical marginals; weighted-random is
-  /// unbiased (it has kNaive's distribution, see above).
-  DecodeStrategy strategy = DecodeStrategy::kWeightedRandom;
-  /// Number of decoder output draws aggregated per tuple (ignored by
-  /// kNaive). Values below 1 act as 1; at most kMaxDecodeDraws.
-  int draws = 8;
-};
+/// Holds nothing: every decode is one draw per attribute. It and the
+/// DecodeLogits overload that takes it exist because the repository
+/// benchmark (aqpbench/) calls that overload with VaeAqpOptions::decode.
+struct DecodeOptions {};
 
 struct EncoderOptions {
   EncodingKind kind = EncodingKind::kBinary;
@@ -116,13 +86,20 @@ class TupleEncoder {
   nn::Matrix EncodeAll(const relation::Table& table) const;
 
   /// Decodes a batch of decoder-output logits into tuples of the original
-  /// schema. Each draw clamps an invalid code (a binary code past the
-  /// domain) into the domain. Requires options.draws <= kMaxDecodeDraws.
-  /// Rows, cells and draws consume `rng` in a fixed order, which generated
-  /// pools depend on byte for byte (DESIGN.md Sec. 18).
+  /// schema: one stochastic draw per attribute from the Bernoulli outputs
+  /// (Sec. IV-E's naive decode), with an invalid code (a binary code past
+  /// the domain) clamped into the domain. Rows, then attributes, consume
+  /// `rng` in a fixed order, which generated pools depend on byte for byte
+  /// (DESIGN.md Sec. 18).
   relation::Table DecodeLogits(const nn::Matrix& logits,
-                               const DecodeOptions& options,
                                util::Rng& rng) const;
+
+  /// The same decode; DecodeOptions holds nothing (see above).
+  relation::Table DecodeLogits(const nn::Matrix& logits,
+                               const DecodeOptions& /*options*/,
+                               util::Rng& rng) const {
+    return DecodeLogits(logits, rng);
+  }
 
   /// Decodes one already-sampled binary activation row into per-attribute
   /// codes (exposed for tests; `bits` has encoded_dim entries in [0,1]).

@@ -166,6 +166,16 @@ inline float FastExp(float x) {
   return p * scale;
 }
 
+float Softplus(float x) {
+  const float e = FastExp(x < 0.0f ? x : -x);  // exp(-|x|)
+  const float s = e / (2.0f + e);
+  float p = 1.0f / 11.0f;
+  for (float c : {1.0f / 9.0f, 1.0f / 7.0f, 1.0f / 5.0f, 1.0f / 3.0f, 1.0f}) {
+    p = p * (s * s) + c;
+  }
+  return (x < 0.0f ? 0.0f : x) + 2.0f * s * p;
+}
+
 namespace {
 
 /// acc[ir][jr] += sum_kk a_panel(kk, ir) * b_panel(kk, jr). Fixed-trip
@@ -450,6 +460,17 @@ void SigmoidVec(const float* x, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     o[i] = 1.0f / (1.0f + internal::FastExp(-in[i]));
   }
+}
+
+void SoftplusVec(const float* x, float* out, size_t n) {
+  if (ActiveGemmKernel() == GemmKernelKind::kSimd) {
+    internal::SimdSoftplus(x, out, n);
+    return;
+  }
+  const float* __restrict__ in = x;
+  float* __restrict__ o = out;
+#pragma GCC ivdep
+  for (size_t i = 0; i < n; ++i) o[i] = internal::Softplus(in[i]);
 }
 
 void SigmoidBernoulliVec(const float* logits, size_t n, util::Rng& rng,

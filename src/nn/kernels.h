@@ -83,6 +83,15 @@ void ApplyActivation(Activation act, float leaky_slope, float* data,
 /// count.
 void SigmoidVec(const float* x, float* out, size_t n);
 
+/// out[i] = softplus(x[i]) = log(1 + e^x), evaluated as
+/// max(x, 0) + log1p(e) with e = exp(-|x|) in (0, 1]: e comes from the same
+/// polynomial expf as SigmoidVec, and log1p(e) = 2 atanh(s) with
+/// s = e / (2 + e) <= 1/3, summed as the odd series through s^11 / 11.
+/// |error| < 5e-7 absolute over [-120, 120] under both kernels. NaN stays
+/// NaN and +inf stays +inf; -inf gives 2^-126, the clamped exp's floor. A
+/// pure function of the input and the kernel kind.
+void SoftplusVec(const float* x, float* out, size_t n);
+
 /// bits[i] = Bernoulli(sigmoid(logits[i])) as 0.0f/1.0f. The sigmoid pass
 /// is vectorized (SigmoidVec); the Bernoulli draws consume exactly one
 /// rng.Bernoulli(p) per element in index order, matching the scalar loop's

@@ -5,7 +5,7 @@
 // explicitly vectorized backend (kernels_simd.cc). Both translation units
 // consume the same packed-panel layout and the same driver signature, so
 // the only thing the SIMD TU adds is a micro-kernel (and a vectorized
-// sigmoid) emitted with AVX2/FMA (or NEON) instructions.
+// sigmoid and softplus) emitted with AVX2/FMA (or NEON) instructions.
 //
 // Everything declared here is defined in kernels.cc with the
 // project-baseline ISA. Keeping the shared helpers out-of-line (not inline
@@ -108,6 +108,15 @@ void SimdGemmDriver(const View& a, const View& b, size_t m, size_t k,
 /// formula kernels.cc's FastExp evaluates; AVX2 lanes contract it with
 /// FMA). |error| < 1e-5 absolute on the sigmoid, pure function of input.
 void SimdSigmoid(const float* x, float* out, size_t n);
+
+/// Scalar softplus by SoftplusVec's series (the next term is below 1e-7):
+/// the blocked loop inlines it, SimdSoftplus runs it on the vector tail.
+float Softplus(float x);
+
+/// out[i] = softplus(x[i]) by Softplus's series on the vectorized exp
+/// (AVX2 lanes contract it with FMA). Same availability contract as
+/// SimdSigmoid.
+void SimdSoftplus(const float* x, float* out, size_t n);
 
 }  // namespace deepaqp::nn::internal
 

@@ -1,6 +1,6 @@
 // The explicitly vectorized GEMM backend (GemmKernelKind::kSimd): the same
-// packed-panel blocked algorithm as kernels.cc, with the micro-kernel and
-// the sigmoid written in intrinsics instead of relying on the
+// packed-panel blocked algorithm as kernels.cc, with the micro-kernel, the
+// sigmoid and the softplus written in intrinsics instead of relying on the
 // auto-vectorizer. This is the only translation unit in the project built
 // with explicit vector ISA flags (-mavx2 -mfma on x86; NEON is baseline on
 // aarch64) — see src/nn/CMakeLists.txt. Nothing here may be called unless
@@ -389,6 +389,31 @@ void SimdSigmoid(const float* x, float* out, size_t n) {
   for (; i < n; ++i) out[i] = 1.0f / (1.0f + ScalarFastExp(-x[i]));
 }
 
+void SimdSoftplus(const float* x, float* out, size_t n) {
+  size_t i = 0;
+#if defined(DEEPAQP_SIMD_ISA_AVX2)
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 signbit = _mm256_set1_ps(-0.0f);
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 e = FastExpAvx2(_mm256_or_ps(v, signbit));  // exp(-|x|)
+    const __m256 s = _mm256_div_ps(e, _mm256_add_ps(two, e));
+    const __m256 s2 = _mm256_mul_ps(s, s);
+    __m256 p = _mm256_set1_ps(1.0f / 11.0f);
+    for (float c : {1.0f / 9.0f, 1.0f / 7.0f, 1.0f / 5.0f, 1.0f / 3.0f, 1.0f}) {
+      p = _mm256_fmadd_ps(p, s2, _mm256_set1_ps(c));
+    }
+    // max_ps returns its second operand when either is NaN, so x goes
+    // second: a NaN input stays NaN (FastExpAvx2 clamps NaN to finite).
+    const __m256 relu = _mm256_max_ps(zero, v);
+    _mm256_storeu_ps(out + i,
+                     _mm256_fmadd_ps(_mm256_add_ps(s, s), p, relu));
+  }
+#endif
+  for (; i < n; ++i) out[i] = Softplus(x[i]);
+}
+
 #else  // no vector ISA compiled in
 
 // Stubs keep the link whole on toolchains without the flags. They are
@@ -400,6 +425,7 @@ void SimdGemmDriver(const View&, const View&, size_t, size_t, size_t, float,
 }
 
 void SimdSigmoid(const float*, float*, size_t) { DEEPAQP_CHECK(false); }
+void SimdSoftplus(const float*, float*, size_t) { DEEPAQP_CHECK(false); }
 
 #endif
 

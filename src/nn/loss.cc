@@ -1,7 +1,9 @@
 #include "nn/loss.h"
 
 #include <cmath>
+#include <vector>
 
+#include "nn/kernels.h"
 #include "util/logging.h"
 
 namespace deepaqp::nn {
@@ -72,16 +74,18 @@ Matrix BernoulliLogLikelihoodRows(const Matrix& logits,
                                   const Matrix& targets) {
   DEEPAQP_CHECK_EQ(logits.rows(), targets.rows());
   DEEPAQP_CHECK_EQ(logits.cols(), targets.cols());
+  // log p = t*z - softplus(z); the softplus of the whole matrix is one
+  // vectorized pass.
+  thread_local std::vector<float> softplus;
+  if (softplus.size() < logits.size()) softplus.resize(logits.size());
+  SoftplusVec(logits.data(), softplus.data(), logits.size());
   Matrix out(logits.rows(), 1);
   for (size_t r = 0; r < logits.rows(); ++r) {
     const float* z = logits.Row(r);
     const float* t = targets.Row(r);
+    const float* sp = softplus.data() + r * logits.cols();
     double acc = 0.0;
-    for (size_t c = 0; c < logits.cols(); ++c) {
-      // log p = t*z - softplus(z) in stable form.
-      acc -= std::max(z[c], 0.0f) - z[c] * t[c] +
-             std::log1p(std::exp(-std::abs(z[c])));
-    }
+    for (size_t c = 0; c < logits.cols(); ++c) acc += t[c] * z[c] - sp[c];
     out.At(r, 0) = static_cast<float>(acc);
   }
   return out;

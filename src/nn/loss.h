@@ -35,7 +35,9 @@ LossResult GaussianKl(const Matrix& mu, const Matrix& logvar,
                       Matrix* grad_logvar);
 
 /// Per-example, per-feature Bernoulli log-likelihood sum log p(x|logits)
-/// (no batch averaging): column vector of size batch x 1. Used for the
+/// (no batch averaging): column vector of size batch x 1, each row the
+/// double sum over features of t*z - softplus(z) with the softplus from
+/// SoftplusVec (|error| < 5e-7 per feature). Used for the
 /// importance-weighted log p(x,z) estimates in variational rejection
 /// sampling.
 Matrix BernoulliLogLikelihoodRows(const Matrix& logits,

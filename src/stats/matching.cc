@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -33,51 +34,67 @@ util::Status ValidateDistances(const DistanceMatrix& dist) {
   return util::Status::OK();
 }
 
-/// The exact solver's bitmask DP over a matrix ValidateDistances accepted,
-/// with n <= 22. The 3-opt sub-solves call it directly: their 6x6 blocks
-/// come from an already validated matrix.
-util::Result<std::vector<int>> ExactMatchingDp(const DistanceMatrix& dist) {
-  const int n = static_cast<int>(dist.size());
-  const uint32_t full = (n == 32) ? 0xFFFFFFFFu : ((1u << n) - 1);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> best(full + 1, kInf);
-  std::vector<std::pair<int, int>> choice(full + 1, {-1, -1});
-  best[0] = 0.0;
-  for (uint32_t mask = 0; mask < full; ++mask) {
-    if (best[mask] == kInf) continue;
-    // First unmatched node must pair with someone: canonical ordering
-    // prevents revisiting permutations.
-    int i = 0;
-    while (mask & (1u << i)) ++i;
-    for (int j = i + 1; j < n; ++j) {
-      if (mask & (1u << j)) continue;
-      const uint32_t next = mask | (1u << i) | (1u << j);
-      const double w = best[mask] + dist[i][j];
-      if (w < best[next]) {
-        best[next] = w;
-        choice[next] = {i, j};
-      }
-    }
-  }
-  std::vector<int> mate(n, -1);
-  uint32_t mask = full;
-  while (mask != 0) {
-    const auto [i, j] = choice[mask];
-    if (i < 0) {
-      // Finite weights whose sums overflow to +inf never improve on an
-      // unreached state.
-      return util::Status::InvalidArgument(
-          "matching weight overflows a double");
-    }
-    mate[i] = j;
-    mate[j] = i;
-    mask &= ~(1u << i);
-    mask &= ~(1u << j);
-  }
-  return mate;
-}
+/// One perfect matching of six nodes as the exact solver's DP builds it:
+/// node 0 pairs with a, the lowest node left (b) pairs with c, and e < f
+/// are the last two.
+struct SixNodePairing {
+  int a, b, c, e, f;
+};
+
+/// All 15, grouped by the DP's 4-node state {0, a, b, c} in ascending mask
+/// order (a group shares its last pair), by ascending a within a group:
+/// the order in which the DP relaxes them.
+constexpr SixNodePairing kSixNodePairings[15] = {
+    {1, 2, 3, 4, 5}, {2, 1, 3, 4, 5}, {3, 1, 2, 4, 5},  // {0,1,2,3}
+    {1, 2, 4, 3, 5}, {2, 1, 4, 3, 5}, {4, 1, 2, 3, 5},  // {0,1,2,4}
+    {3, 1, 4, 2, 5}, {4, 1, 3, 2, 5},                   // {0,1,3,4}
+    {1, 2, 5, 3, 4}, {2, 1, 5, 3, 4}, {5, 1, 2, 3, 4},  // {0,1,2,5}
+    {3, 1, 5, 2, 4}, {5, 1, 3, 2, 4},                   // {0,1,3,5}
+    {4, 1, 5, 2, 3}, {5, 1, 4, 2, 3},                   // {0,1,4,5}
+};
 
 }  // namespace
+
+util::Result<double> ExactSixNodeMatching(const double (&dist)[6][6],
+                                          int (&mate)[6]) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double best_total = kInf;
+  int best = -1;
+  for (int g = 0; g < 15;) {
+    // The DP keeps one 4-node state's first strict minimum over a, then
+    // adds the last pair; states are tried in ascending mask order.
+    const int e = kSixNodePairings[g].e;
+    const int f = kSixNodePairings[g].f;
+    double partial = kInf;
+    int row = -1;
+    for (; g < 15 && kSixNodePairings[g].e == e && kSixNodePairings[g].f == f;
+         ++g) {
+      const SixNodePairing& m = kSixNodePairings[g];
+      const double w = dist[0][m.a] + dist[m.b][m.c];
+      if (w < partial) {
+        partial = w;
+        row = g;
+      }
+    }
+    if (row < 0) continue;  // the state's weights overflowed
+    const double total = partial + dist[e][f];
+    if (total < best_total) {
+      best_total = total;
+      best = row;
+    }
+  }
+  if (best < 0) {
+    return util::Status::InvalidArgument("matching weight overflows a double");
+  }
+  const SixNodePairing& m = kSixNodePairings[best];
+  mate[0] = m.a;
+  mate[m.a] = 0;
+  mate[m.b] = m.c;
+  mate[m.c] = m.b;
+  mate[m.e] = m.f;
+  mate[m.f] = m.e;
+  return best_total;
+}
 
 util::Result<std::vector<int>> MinWeightPerfectMatching(
     const DistanceMatrix& dist) {
@@ -114,8 +131,8 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
 
   // Local refinement. 2-opt: for every pair of matched edges try the two
   // alternative pairings. 3-opt: for every triple of matched edges, re-match
-  // the 6 endpoints exactly (15 candidate matchings via the DP solver).
-  // Both strictly decrease total weight, so the loop terminates.
+  // the 6 endpoints exactly (ExactSixNodeMatching's 15 candidates). Both
+  // strictly decrease total weight, so the loop terminates.
   auto collect_pairs = [&] {
     std::vector<std::pair<int, int>> pairs;
     pairs.reserve(n / 2);
@@ -159,28 +176,35 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
     bool improved = false;
     const auto pairs = collect_pairs();
     const size_t k = pairs.size();
-    DistanceMatrix sub(6, std::vector<double>(6));
+    // Upper triangle only: nodes 0-3 (pairs p and q) are filled once per
+    // (p, q), the entries of nodes 4-5 once per s.
+    double sub[6][6];
+    int nodes[6];
+    int best[6];
     for (size_t p = 0; p < k; ++p) {
       for (size_t q = p + 1; q < k; ++q) {
+        std::tie(nodes[0], nodes[1]) = pairs[p];
+        std::tie(nodes[2], nodes[3]) = pairs[q];
+        for (int i = 0; i < 4; ++i) {
+          for (int j = i + 1; j < 4; ++j) sub[i][j] = dist[nodes[i]][nodes[j]];
+        }
         for (size_t s = q + 1; s < k; ++s) {
-          const int nodes[6] = {pairs[p].first,  pairs[p].second,
-                                pairs[q].first,  pairs[q].second,
-                                pairs[s].first,  pairs[s].second};
-          if (mate[nodes[0]] != nodes[1] || mate[nodes[2]] != nodes[3] ||
-              mate[nodes[4]] != nodes[5]) {
-            continue;
+          // Only an improvement moves mates, and none can touch p or q once
+          // one of them is stale, so the rest of this s loop would skip.
+          if (mate[nodes[0]] != nodes[1] || mate[nodes[2]] != nodes[3]) break;
+          std::tie(nodes[4], nodes[5]) = pairs[s];
+          if (mate[nodes[4]] != nodes[5]) continue;
+          for (int i = 0; i < 5; ++i) {
+            for (int j = std::max(i + 1, 4); j < 6; ++j) {
+              sub[i][j] = dist[nodes[i]][nodes[j]];
+            }
           }
           const double current = dist[nodes[0]][nodes[1]] +
                                  dist[nodes[2]][nodes[3]] +
                                  dist[nodes[4]][nodes[5]];
-          for (int i = 0; i < 6; ++i) {
-            for (int j = 0; j < 6; ++j) {
-              sub[i][j] = dist[nodes[i]][nodes[j]];
-            }
-          }
-          DEEPAQP_ASSIGN_OR_RETURN(std::vector<int> best,
-                                   ExactMatchingDp(sub));
-          if (MatchingWeight(sub, best) < current - 1e-12) {
+          DEEPAQP_ASSIGN_OR_RETURN(const double weight,
+                                   ExactSixNodeMatching(sub, best));
+          if (weight < current - 1e-12) {
             for (int i = 0; i < 6; ++i) {
               mate[nodes[i]] = nodes[best[i]];
             }
@@ -208,7 +232,44 @@ util::Result<std::vector<int>> ExactMinWeightPerfectMatching(
     return util::Status::InvalidArgument(
         "exact matching limited to n <= 22 nodes");
   }
-  return ExactMatchingDp(dist);
+  const int n = static_cast<int>(dist.size());
+  const uint32_t full = (1u << n) - 1;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best(full + 1, kInf);
+  std::vector<std::pair<int, int>> choice(full + 1, {-1, -1});
+  best[0] = 0.0;
+  for (uint32_t mask = 0; mask < full; ++mask) {
+    if (best[mask] == kInf) continue;
+    // First unmatched node must pair with someone: canonical ordering
+    // prevents revisiting permutations.
+    int i = 0;
+    while (mask & (1u << i)) ++i;
+    for (int j = i + 1; j < n; ++j) {
+      if (mask & (1u << j)) continue;
+      const uint32_t next = mask | (1u << i) | (1u << j);
+      const double w = best[mask] + dist[i][j];
+      if (w < best[next]) {
+        best[next] = w;
+        choice[next] = {i, j};
+      }
+    }
+  }
+  std::vector<int> mate(n, -1);
+  uint32_t mask = full;
+  while (mask != 0) {
+    const auto [i, j] = choice[mask];
+    if (i < 0) {
+      // Finite weights whose sums overflow to +inf never improve on an
+      // unreached state.
+      return util::Status::InvalidArgument(
+          "matching weight overflows a double");
+    }
+    mate[i] = j;
+    mate[j] = i;
+    mask &= ~(1u << i);
+    mask &= ~(1u << j);
+  }
+  return mate;
 }
 
 double MatchingWeight(const DistanceMatrix& dist,

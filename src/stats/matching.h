@@ -31,6 +31,16 @@ util::Result<std::vector<int>> MinWeightPerfectMatching(
 util::Result<std::vector<int>> ExactMinWeightPerfectMatching(
     const DistanceMatrix& dist);
 
+/// The exact six-node sub-solve of MinWeightPerfectMatching's 3-opt step,
+/// on a stack matrix of which it reads only the upper triangle (i < j). It
+/// takes the first strict minimum of the 15 perfect matchings in the order
+/// ExactMinWeightPerfectMatching's DP relaxes them, with the weights summed
+/// in the DP's order, so both return the same mates on every finite input.
+/// Returns the matching's weight, or the DP's InvalidArgument when every
+/// matching's weight overflows a double. Allocates nothing.
+util::Result<double> ExactSixNodeMatching(const double (&dist)[6][6],
+                                          int (&mate)[6]);
+
 /// Total weight of a matching returned by either solver.
 double MatchingWeight(const DistanceMatrix& dist,
                       const std::vector<int>& mate);

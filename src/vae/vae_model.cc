@@ -17,22 +17,6 @@ namespace deepaqp::vae {
 
 using nn::Matrix;
 
-namespace {
-
-/// Every generated attribute costs `draws` decodes, so Train and Deserialize
-/// share one cap: no model is saved that will not load, and an untrusted
-/// snapshot cannot stall every session that generates from it.
-util::Status CheckDecodeDraws(int draws) {
-  if (draws > encoding::kMaxDecodeDraws) {
-    return util::Status::InvalidArgument(
-        "decode draws " + std::to_string(draws) + " exceed the cap of " +
-        std::to_string(encoding::kMaxDecodeDraws));
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
 util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Train(
     const relation::Table& table, const VaeAqpOptions& options,
     TrainingStats* stats) {
@@ -42,7 +26,6 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Train(
   if (options.epochs < 1 || options.batch_size < 1) {
     return util::Status::InvalidArgument("epochs and batch_size must be >=1");
   }
-  DEEPAQP_RETURN_IF_ERROR(CheckDecodeDraws(options.decode.draws));
   util::Stopwatch total_watch;
 
   auto model = std::unique_ptr<VaeAqpModel>(new VaeAqpModel());
@@ -431,10 +414,11 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
       for (size_t i = 0; i < batch; ++i) accepted[i] = i;
     } else {
       // Candidate bits x' ~ Bernoulli(sigmoid(logits)): the acceptance test
-      // runs on the encoded representation; attribute decoding of accepted
-      // rows happens afterwards with the configured strategy. The sigmoid
-      // pass is vectorized; the Bernoulli draws consume one uniform per
-      // element in index order, as before.
+      // runs on the encoded representation. The rows served for accepted
+      // candidates are decoded afresh from their logits below, one draw per
+      // attribute, not taken from these bits (DESIGN.md Sec. 18). The
+      // sigmoid pass is vectorized; the Bernoulli draws consume one uniform
+      // per element in index order.
       bits.Resize(batch, logits.cols());
       nn::SigmoidBernoulliVec(logits.data(), bits.size(), rng, bits.data());
       net_->EncodeConstInto(bits, &post, &arena);
@@ -476,8 +460,7 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
     if (accepted.size() > remaining) accepted.resize(remaining);
     if (!accepted.empty()) {
       logits.GatherRowsInto(accepted, &kept);
-      relation::Table decoded =
-          encoder_.DecodeLogits(kept, options_.decode, rng);
+      relation::Table decoded = encoder_.DecodeLogits(kept, rng);
       // Scrub: a poisoned forward pass can decode into non-finite numeric
       // cells; such rows would surface as NaN aggregates downstream. Drop
       // them (counted). Healthy rows pass through untouched.
@@ -607,8 +590,6 @@ std::vector<uint8_t> VaeAqpModel::Serialize() const {
   util::SnapshotWriter snap(kVaeModelSnapshotKind, kVaeModelPayloadVersion);
   util::ByteWriter& meta = snap.AddSection("meta");
   meta.WriteF64(default_t_);
-  meta.WriteU8(static_cast<uint8_t>(options_.decode.strategy));
-  meta.WriteI32(options_.decode.draws);
   encoder_.Serialize(snap.AddSection("encoder"));
   net_->Serialize(snap.AddSection("net"));
   return snap.Finish();
@@ -622,24 +603,26 @@ util::Result<std::unique_ptr<VaeAqpModel>> VaeAqpModel::Deserialize(
     return util::Status::InvalidArgument(
         "snapshot holds a '" + snap.kind() + "', not a deepaqp VAE model");
   }
-  if (snap.payload_version() != kVaeModelPayloadVersion) {
+  const uint32_t version = snap.payload_version();
+  if (version < 1 || version > kVaeModelPayloadVersion) {
     return util::Status::InvalidArgument(
-        "unsupported VAE model payload version " +
-        std::to_string(snap.payload_version()) + " (expected " +
+        "unsupported VAE model payload version " + std::to_string(version) +
+        " (this build reads 1 to " +
         std::to_string(kVaeModelPayloadVersion) + ")");
   }
   auto model = std::unique_ptr<VaeAqpModel>(new VaeAqpModel());
   DEEPAQP_ASSIGN_OR_RETURN(util::ByteReader meta, snap.Section("meta"));
   DEEPAQP_ASSIGN_OR_RETURN(model->default_t_, meta.ReadF64());
-  DEEPAQP_ASSIGN_OR_RETURN(uint8_t strategy, meta.ReadU8());
-  if (strategy > static_cast<uint8_t>(
-                     encoding::DecodeStrategy::kWeightedRandom)) {
-    return util::Status::InvalidArgument("bad decode strategy");
+  if (version == 1) {
+    // Version 1 also stored the decode strategy (0-2: naive, max-vote,
+    // weighted-random), still validated, and the draw count, skipped: the
+    // model decodes one draw.
+    DEEPAQP_ASSIGN_OR_RETURN(uint8_t strategy, meta.ReadU8());
+    if (strategy > 2) {
+      return util::Status::InvalidArgument("bad decode strategy");
+    }
+    DEEPAQP_RETURN_IF_ERROR(meta.ReadI32().status());
   }
-  model->options_.decode.strategy =
-      static_cast<encoding::DecodeStrategy>(strategy);
-  DEEPAQP_ASSIGN_OR_RETURN(model->options_.decode.draws, meta.ReadI32());
-  DEEPAQP_RETURN_IF_ERROR(CheckDecodeDraws(model->options_.decode.draws));
   if (!meta.AtEnd()) {
     return util::Status::InvalidArgument(
         "trailing bytes in VAE model 'meta' section");

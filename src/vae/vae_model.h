@@ -9,7 +9,6 @@
 #include "aqp/evaluation.h"
 #include "encoding/tuple_encoder.h"
 #include "relation/table.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "vae/vae_net.h"
@@ -19,7 +18,9 @@ namespace deepaqp::vae {
 /// Snapshot identity of a serialized VaeAqpModel (util/snapshot.h container;
 /// the CLI dispatches on the kind string without parsing the payload).
 inline constexpr char kVaeModelSnapshotKind[] = "deepaqp.vae-model";
-inline constexpr uint32_t kVaeModelPayloadVersion = 1;
+/// Version 2 dropped the decode options from the 'meta' section; version-1
+/// snapshots still load (see Deserialize).
+inline constexpr uint32_t kVaeModelPayloadVersion = 2;
 
 /// Sentinels for the rejection threshold sweep of Fig. 8. kTPlusInf accepts
 /// every sample (no rejection); kTMinusInf accepts only the best-ratio
@@ -56,7 +57,8 @@ struct VaeAqpOptions {
   /// `divergence_lr_backoff` for the retry.
   int max_divergence_retries = 3;
   float divergence_lr_backoff = 0.5f;
-  /// Output decoding (Fig. 7; paper recommends aggregated decoding).
+  /// Holds nothing: every decode is one draw (encoding::DecodeOptions). Kept
+  /// for the repository benchmark, which passes it to DecodeLogits.
   encoding::DecodeOptions decode;
 };
 
@@ -133,11 +135,14 @@ class VaeAqpModel {
       TrainingStats* stats = nullptr);
 
   /// Generates `n` synthetic tuples with rejection threshold `t`
-  /// (kTPlusInf = no rejection). Candidate tuples x' are sampled from the
-  /// decoder; each is accepted with probability
-  /// min(1, e^t * p(x',z) / q(z|x')) (Eq. 8 with M' = e^{-t}). If a whole
-  /// candidate window is rejected, the best-ratio candidate is taken so
-  /// generation always terminates (this implements the T -> -inf limit).
+  /// (kTPlusInf = no rejection). Rejection runs on latent points: for each
+  /// prior draw z, candidate bits x' ~ Bernoulli(sigmoid(decoder(z))) are
+  /// sampled and z is accepted with probability
+  /// min(1, e^t * p(x',z) / q(z|x')) (Eq. 8 with M' = e^{-t}). The tuple
+  /// served for an accepted z is not x' but a fresh one-draw decode of z's
+  /// logits (DESIGN.md Sec. 18 says why). If a whole candidate window is
+  /// rejected, the best-ratio candidate is taken so generation always
+  /// terminates (this implements the T -> -inf limit).
   ///
   /// Generation is parallel and deterministic: the request is cut into
   /// fixed-size chunks, chunk i draws from the child stream
@@ -206,15 +211,6 @@ class VaeAqpModel {
   const encoding::TupleEncoder& tuple_encoder() const { return encoder_; }
   VaeNet& net() { return *net_; }
   const VaeAqpOptions& options() const { return options_; }
-
-  /// Output decoding is a client-side generation knob (Fig. 7); it can be
-  /// changed after training without touching the learned weights.
-  /// `decode.draws` must be at most encoding::kMaxDecodeDraws, the cap
-  /// Deserialize enforces.
-  void set_decode_options(const encoding::DecodeOptions& decode) {
-    DEEPAQP_CHECK_LE(decode.draws, encoding::kMaxDecodeDraws);
-    options_.decode = decode;
-  }
 
  private:
   VaeAqpModel() = default;

@@ -1,14 +1,15 @@
 #include "encoding/tuple_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
-#include "decode_reference.h"
 
 namespace deepaqp::encoding {
 namespace {
@@ -144,8 +145,7 @@ TEST(EncoderTest, ConstantNumericColumnSurvives) {
   auto m = enc->EncodeAll(t);
   util::Rng rng(1);
   auto decoded =
-      enc->DecodeLogits(nn::Matrix(1, enc->encoded_dim(), 10.0f),
-                        {DecodeStrategy::kMaxVote, 4}, rng);
+      enc->DecodeLogits(nn::Matrix(1, enc->encoded_dim(), 10.0f), rng);
   EXPECT_EQ(decoded.NumValue(0, 0), 7.0);
 }
 
@@ -178,8 +178,7 @@ TEST(EncoderTest, DecodeLogitsWithConfidentLogitsRecoversTuple) {
       }
     }
     util::Rng rng(3);
-    auto decoded =
-        enc->DecodeLogits(logits, {DecodeStrategy::kMaxVote, 8}, rng);
+    auto decoded = enc->DecodeLogits(logits, rng);
     ASSERT_EQ(decoded.num_rows(), 10u);
     for (size_t r = 0; r < 10; ++r) {
       EXPECT_EQ(decoded.CatCode(r, 0), t.CatCode(r, 0))
@@ -190,21 +189,7 @@ TEST(EncoderTest, DecodeLogitsWithConfidentLogitsRecoversTuple) {
   }
 }
 
-TEST(EncoderTest, WeightedRandomDecodeProducesValidCodes) {
-  Table t = SmallTable();
-  auto enc = TupleEncoder::Fit(t, {});
-  ASSERT_TRUE(enc.ok());
-  util::Rng rng(5);
-  nn::Matrix logits(50, enc->encoded_dim());  // all-zero logits: p = 0.5
-  auto decoded = enc->DecodeLogits(
-      logits, {DecodeStrategy::kWeightedRandom, 8}, rng);
-  for (size_t r = 0; r < decoded.num_rows(); ++r) {
-    EXPECT_GE(decoded.CatCode(r, 0), 0);
-    EXPECT_LT(decoded.CatCode(r, 0), 3);
-  }
-}
-
-TEST(EncoderTest, NaiveDecodeClampsInvalidBinaryCodes) {
+TEST(EncoderTest, DecodeClampsInvalidBinaryCodes) {
   // Cardinality 3 in 2 bits: pattern 11 (=3) is invalid and must clamp to 2.
   Table t = SmallTable();
   EncoderOptions opts;
@@ -214,8 +199,7 @@ TEST(EncoderTest, NaiveDecodeClampsInvalidBinaryCodes) {
   util::Rng rng(7);
   // Strong logits forcing both bits of the categorical to 1.
   nn::Matrix logits(20, enc->encoded_dim(), 12.0f);
-  auto decoded =
-      enc->DecodeLogits(logits, {DecodeStrategy::kNaive, 1}, rng);
+  auto decoded = enc->DecodeLogits(logits, rng);
   for (size_t r = 0; r < decoded.num_rows(); ++r) {
     EXPECT_EQ(decoded.CatCode(r, 0), 2);
   }
@@ -299,39 +283,56 @@ nn::Matrix TestLogits(size_t rows, size_t cols, bool saturated,
   return logits;
 }
 
-void ExpectIdenticalTables(const Table& want, const Table& got) {
-  ASSERT_EQ(want.schema(), got.schema());
-  ASSERT_EQ(want.num_rows(), got.num_rows());
-  for (size_t c = 0; c < want.num_attributes(); ++c) {
-    if (want.schema().IsCategorical(c)) {
-      EXPECT_TRUE(want.CatColumn(c) == got.CatColumn(c)) << "column " << c;
-      EXPECT_EQ(want.Cardinality(c), got.Cardinality(c)) << "column " << c;
-      EXPECT_EQ(want.dict(c).labels(), got.dict(c).labels())
-          << "column " << c;
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+uint64_t Fnv(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+/// FNV-1a over a decoded table (domain sizes, labels, codes, value bits)
+/// and the decoding rng's next Gaussian (a cached Box-Muller spare
+/// included) and next 64-bit draw.
+uint64_t DecodeDigest(const Table& t, util::Rng& rng) {
+  uint64_t h = kFnvOffset;
+  for (size_t c = 0; c < t.num_attributes(); ++c) {
+    if (t.schema().IsCategorical(c)) {
+      const int32_t card = t.Cardinality(c);
+      h = Fnv(h, &card, sizeof(card));
+      for (const std::string& label : t.dict(c).labels()) {
+        h = Fnv(h, label.c_str(), label.size() + 1);
+      }
+      const auto& col = t.CatColumn(c);
+      h = Fnv(h, col.data(), col.size() * sizeof(col[0]));
     } else {
-      const auto& a = want.NumColumn(c);
-      const auto& b = got.NumColumn(c);
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
-                0)
-          << "column " << c;
+      const auto& col = t.NumColumn(c);
+      h = Fnv(h, col.data(), col.size() * sizeof(col[0]));
     }
   }
+  const double g = rng.NextGaussian();
+  const uint64_t u = rng.NextUint64();
+  h = Fnv(h, &g, sizeof(g));
+  return Fnv(h, &u, sizeof(u));
 }
 
-/// Equal next draws, a cached Box-Muller spare included, mean equal states.
-void ExpectSameRngState(util::Rng a, util::Rng b) {
-  EXPECT_EQ(a.NextGaussian(), b.NextGaussian());
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.NextUint64(), b.NextUint64());
-}
-
-TEST(DecodeOracleTest, DecodeLogitsMatchesReferenceByteForByte) {
-  // Flights mixes small labeled domains, a 300-value label-less one and
-  // numeric bins; LabelGapTable adds codes past the labels and a constant
-  // numeric column.
+TEST(DecodeGoldenTest, DecodeLogitsKeepsItsTablesAndRngStream) {
+  // Digests of the one-draw decode, recorded while it was still one of
+  // three strategies (the naive one, at one draw): pools depend on this
+  // stream byte for byte. Flights mixes small labeled domains, a 300-value
+  // label-less one and numeric bins; LabelGapTable adds codes past the
+  // labels and a constant numeric column. Per table: one-hot, binary,
+  // integer, each on random then saturated logits.
   const std::vector<Table> tables = {
       data::GenerateFlights(
           {.rows = 600, .seed = 4, .flight_number_cardinality = 300}),
       LabelGapTable()};
+  const uint64_t want[] = {
+      0x9181da94c04265beull, 0xdc09bf4e92639457ull, 0x90d1ad5ead3cdb8bull,
+      0x950694d79717b82dull, 0xbc8b382f5a328fd2ull, 0x1ff02212cb10a7feull,
+      0xbd4b2cab38c74a34ull, 0x16a2459aea6a42a8ull, 0x997406e4afdde455ull,
+      0xd6d5c9c2b3419ba6ull, 0xaf35c54fe9ef2af2ull, 0xefe6b728b4d2c06aull};
+  size_t i = 0;
   uint64_t seed = 100;
   for (const Table& table : tables) {
     for (EncodingKind kind : {EncodingKind::kOneHot, EncodingKind::kBinary,
@@ -341,60 +342,68 @@ TEST(DecodeOracleTest, DecodeLogitsMatchesReferenceByteForByte) {
       for (bool saturated : {false, true}) {
         const nn::Matrix logits =
             TestLogits(48, enc->encoded_dim(), saturated, ++seed);
-        for (DecodeStrategy strategy :
-             {DecodeStrategy::kNaive, DecodeStrategy::kMaxVote,
-              DecodeStrategy::kWeightedRandom}) {
-          for (int draws : {1, 3, 8, 65}) {
-            SCOPED_TRACE(std::string(EncodingKindName(kind)) +
-                         " strategy=" +
-                         std::to_string(static_cast<int>(strategy)) +
-                         " draws=" + std::to_string(draws) +
-                         (saturated ? " saturated" : " random") +
-                         " attrs=" + std::to_string(table.num_attributes()));
-            util::Rng want_rng(++seed);
-            util::Rng got_rng = want_rng;
-            const Table want = ReferenceDecodeLogits(
-                *enc, logits, {strategy, draws}, want_rng);
-            const Table got =
-                enc->DecodeLogits(logits, {strategy, draws}, got_rng);
-            ExpectIdenticalTables(want, got);
-            ExpectSameRngState(want_rng, got_rng);
-          }
-        }
+        util::Rng rng(++seed);
+        const Table got = enc->DecodeLogits(logits, rng);
+        EXPECT_EQ(DecodeDigest(got, rng), want[i++])
+            << EncodingKindName(kind) << (saturated ? " saturated" : " random")
+            << " attrs=" << table.num_attributes();
       }
     }
   }
 }
 
-/// Two-sample chi-square z-score over (logit row, code) cells of one
-/// categorical attribute: counts[row][code] from two decoders that each
-/// decoded every row the same number of times.
-double TwoSampleZ(const std::vector<std::vector<int>>& a,
-                  const std::vector<std::vector<int>>& b) {
-  double chi2 = 0.0;
-  double df = 0.0;
-  for (size_t r = 0; r < a.size(); ++r) {
-    int cells = 0;
-    for (size_t v = 0; v < a[r].size(); ++v) {
-      const double total = a[r][v] + b[r][v];
-      if (total == 0) continue;
-      const double diff = a[r][v] - b[r][v];
-      chi2 += diff * diff / total;
-      ++cells;
+/// Expected counts of each code of a binary-encoded attribute in `n`
+/// one-draw decodes: independent bits with the sigmoid probabilities the
+/// decoder draws with, every code past the domain moved to `clamp_to`.
+std::vector<double> ExpectedCodeCounts(const TupleEncoder::AttrLayout& layout,
+                                       const float* logits, int32_t clamp_to,
+                                       double n) {
+  std::vector<double> expected(layout.cardinality, 0.0);
+  for (int32_t v = 0; v < (1 << layout.width); ++v) {
+    double p = n;
+    for (size_t b = 0; b < layout.width; ++b) {
+      const double bit = 1.0f / (1.0f + std::exp(-logits[b]));
+      p *= (v >> b) & 1 ? bit : 1.0 - bit;
     }
-    if (cells > 1) df += cells - 1;
+    expected[v < layout.cardinality ? v : clamp_to] += p;
   }
-  return df > 0 ? (chi2 - df) / std::sqrt(2.0 * df) : 0.0;
+  return expected;
 }
 
-// Weighted-random over D draws picks value v with probability count(v)/D,
-// which is returning draw J for a uniform J: each decoded attribute is
-// distributed exactly like one naive draw. Max-vote is not (it sharpens
-// toward the mode). Seeded, so the z-scores are fixed numbers.
-TEST(DecodeDistributionTest, WeightedRandomIsDistributedLikeNaive) {
+/// Chi-square z-score of decoded code counts against their expected
+/// counts, summed over (logit row, categorical attribute). Codes expecting
+/// fewer than 5 are merged into the smallest code expecting more.
+double ChiSquareZ(const std::vector<std::vector<int>>& counts,
+                  const std::vector<std::vector<double>>& expected) {
+  double chi2 = 0.0;
+  double df = 0.0;
+  for (size_t r = 0; r < counts.size(); ++r) {
+    std::vector<std::pair<double, int>> cells;  // (expected, observed)
+    std::pair<double, int> small{0.0, 0};
+    for (size_t v = 0; v < counts[r].size(); ++v) {
+      auto& cell = expected[r][v] < 5.0 ? small : cells.emplace_back();
+      cell.first += expected[r][v];
+      cell.second += counts[r][v];
+    }
+    auto& smallest = *std::min_element(cells.begin(), cells.end());
+    smallest.first += small.first;
+    smallest.second += small.second;
+    for (const auto& [e, o] : cells) chi2 += (o - e) * (o - e) / e;
+    df += static_cast<double>(cells.size()) - 1.0;
+  }
+  return (chi2 - df) / std::sqrt(2.0 * df);
+}
+
+// Each categorical attribute of the one-draw binary decode follows its
+// analytic distribution: independent Bernoulli bits, the mass of codes
+// past the domain clamped to cardinality - 1. The same counts against a
+// clamp to code 0 show the statistic can tell. Seeded, so the z-scores are
+// fixed numbers.
+TEST(DecodeDistributionTest, OneDrawBinaryDecodeMatchesItsDistribution) {
   auto table = data::GenerateCensus({.rows = 2000, .seed = 3});
   auto enc = TupleEncoder::Fit(table, {});
   ASSERT_TRUE(enc.ok());
+  ASSERT_EQ(enc->kind(), EncodingKind::kBinary);
   constexpr size_t kRows = 64;
   constexpr size_t kRepeats = 1500;
   const nn::Matrix fixed = TestLogits(kRows, enc->encoded_dim(), false, 9);
@@ -403,33 +412,28 @@ TEST(DecodeDistributionTest, WeightedRandomIsDistributedLikeNaive) {
     std::memcpy(logits.Row(r), fixed.Row(r % kRows),
                 enc->encoded_dim() * sizeof(float));
   }
-  // counts[attribute][row][code]
-  auto tally = [&](const DecodeOptions& options, uint64_t seed) {
-    util::Rng rng(seed);
-    const Table decoded = enc->DecodeLogits(logits, options, rng);
-    std::vector<std::vector<std::vector<int>>> counts(
-        table.num_attributes());
-    for (size_t c = 0; c < table.num_attributes(); ++c) {
-      if (!table.schema().IsCategorical(c)) continue;
-      counts[c].assign(kRows,
-                       std::vector<int>(enc->layout()[c].cardinality, 0));
-      for (size_t r = 0; r < decoded.num_rows(); ++r) {
-        ++counts[c][r % kRows][decoded.CatCode(r, c)];
-      }
-    }
-    return counts;
-  };
-  const auto naive = tally({DecodeStrategy::kNaive, 1}, 11);
-  const auto weighted = tally({DecodeStrategy::kWeightedRandom, 8}, 12);
-  const auto max_vote = tally({DecodeStrategy::kMaxVote, 8}, 13);
-  double max_vote_z = 0.0;
+  util::Rng rng(11);
+  const Table decoded = enc->DecodeLogits(logits, rng);
+  std::vector<std::vector<int>> counts;
+  std::vector<std::vector<double>> clamped;
+  std::vector<std::vector<double>> to_zero;
   for (size_t c = 0; c < table.num_attributes(); ++c) {
     if (!table.schema().IsCategorical(c)) continue;
-    EXPECT_LT(std::abs(TwoSampleZ(naive[c], weighted[c])), 4.0)
-        << table.schema().attribute(c).name;
-    max_vote_z = std::max(max_vote_z, TwoSampleZ(naive[c], max_vote[c]));
+    const TupleEncoder::AttrLayout& layout = enc->layout()[c];
+    for (size_t r = 0; r < kRows; ++r) {
+      std::vector<int> count(layout.cardinality, 0);
+      for (size_t rep = 0; rep < kRepeats; ++rep) {
+        ++count[decoded.CatCode(rep * kRows + r, c)];
+      }
+      counts.push_back(count);
+      const float* z = fixed.Row(r) + layout.offset;
+      clamped.push_back(
+          ExpectedCodeCounts(layout, z, layout.cardinality - 1, kRepeats));
+      to_zero.push_back(ExpectedCodeCounts(layout, z, 0, kRepeats));
+    }
   }
-  EXPECT_GT(max_vote_z, 20.0);
+  EXPECT_LT(std::abs(ChiSquareZ(counts, clamped)), 4.0);
+  EXPECT_GT(ChiSquareZ(counts, to_zero), 20.0);
 }
 
 }  // namespace

@@ -7,13 +7,17 @@
 //  * fused bias+activation forwards equal to the unfused pipeline exactly;
 //  * the vectorized sigmoid within 1e-5 of the std::exp form, with the
 //    Bernoulli fusion consuming the same RNG stream;
+//  * the vectorized softplus within 5e-7 of the double form on every
+//    kernel the CPU has, NaN and infinities included;
 //  * SetGemmKernel switches the kernel that Gemm dispatches to.
 
 #include "nn/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "nn/arena.h"
@@ -292,6 +296,38 @@ TEST(SigmoidKernelTest, BernoulliFusionConsumesSameRngStream) {
     EXPECT_EQ(fused[i], want) << "i=" << i;
   }
   EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
+}
+
+TEST(SoftplusKernelTest, WithinHalfAMillionthOfTheDoubleFormOnEveryKernel) {
+  // NaN and infinities, then [-120, 120] in steps of 1e-3. A NaN must stay
+  // NaN, so a poisoned decoder pass leaves a non-finite log-ratio, which
+  // generation rejects. Odd length: the simd vector body and its tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x = {std::nanf(""), inf, -inf, std::nanf(""), inf, -inf};
+  for (int i = 0; i <= 240000; ++i) {
+    x.push_back(static_cast<float>(-120.0 + 1e-3 * i));
+  }
+  std::vector<float> got(x.size());
+  std::vector<GemmKernelKind> kinds = {GemmKernelKind::kBlocked};
+  if (SimdKernelAvailable()) kinds.push_back(GemmKernelKind::kSimd);
+  for (GemmKernelKind kind : kinds) {
+    SCOPED_TRACE(GemmKernelKindName(kind));
+    ScopedKernel scoped(kind);
+    SoftplusVec(x.data(), got.data(), x.size());
+    double max_err = 0.0;
+    for (size_t i = 6; i < x.size(); ++i) {
+      const double v = x[i];
+      const double want = std::max(v, 0.0) + std::log1p(std::exp(-std::abs(v)));
+      max_err = std::max(max_err, std::abs(got[i] - want));
+    }
+    EXPECT_LE(max_err, 5e-7);
+    for (size_t i = 0; i < 6; i += 3) {
+      EXPECT_TRUE(std::isnan(got[i]));
+      EXPECT_EQ(got[i + 1], inf);
+      EXPECT_GE(got[i + 2], 0.0f);
+      EXPECT_LE(got[i + 2], 1.2e-38f);
+    }
+  }
 }
 
 TEST(KernelDispatchTest, SetKindSwitchesImplementations) {

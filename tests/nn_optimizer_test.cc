@@ -1,10 +1,15 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels.h"
 #include "nn/loss.h"
+#include "util/rng.h"
 
 namespace deepaqp::nn {
 namespace {
@@ -228,6 +233,43 @@ TEST(LossTest, BernoulliRowLikelihoodConsistentWithBce) {
   // Sum of row log-likelihoods == -batch * mean BCE.
   const double bce = BceWithLogits(logits, targets).value;
   EXPECT_NEAR(-total / 4.0, bce, 1e-4);
+}
+
+TEST(LossTest, BernoulliRowLikelihoodMatchesTheScalarLoop) {
+  // Widths around the 8-lane vector body, on every kernel the CPU has; the
+  // reference is the loop BernoulliLogLikelihoodRows ran before it took a
+  // vectorized softplus. A NaN logit makes its row NaN.
+  std::vector<GemmKernelKind> kinds = {GemmKernelKind::kBlocked};
+  if (SimdKernelAvailable()) kinds.push_back(GemmKernelKind::kSimd);
+  const GemmKernelKind prev = ActiveGemmKernel();
+  for (GemmKernelKind kind : kinds) {
+    SetGemmKernel(kind);
+    for (size_t width : {1u, 7u, 8u, 47u, 129u}) {
+      SCOPED_TRACE(std::string(GemmKernelKindName(kind)) + " width " +
+                   std::to_string(width));
+      util::Rng rng(width);
+      Matrix logits(9, width);
+      Matrix targets(9, width);
+      logits.RandomizeGaussian(rng, 6.0f);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        targets.data()[i] = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+      }
+      logits.At(8, width - 1) = std::nanf("");
+      const Matrix got = BernoulliLogLikelihoodRows(logits, targets);
+      for (size_t r = 0; r < 8; ++r) {
+        double want = 0.0;
+        for (size_t c = 0; c < width; ++c) {
+          const float z = logits.At(r, c);
+          want -= std::max(z, 0.0f) - z * targets.At(r, c) +
+                  std::log1p(std::exp(-std::abs(z)));
+        }
+        // 5e-7 per softplus, plus float rounding of each term and the sum.
+        EXPECT_NEAR(got.At(r, 0), want, 1e-6 * (width + std::abs(want)));
+      }
+      EXPECT_TRUE(std::isnan(got.At(8, 0)));
+    }
+  }
+  SetGemmKernel(prev);
 }
 
 TEST(LossTest, GaussianRowDensities) {

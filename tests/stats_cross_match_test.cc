@@ -118,6 +118,27 @@ TEST(CrossMatchTest, SeparatedDistributionsAreDetected) {
   EXPECT_GE(rejections, 9);
 }
 
+TEST(CrossMatchTest, PinnedPValuesAtAlgorithmOneSize) {
+  // 128 points per side, as Algorithm 1 tests, the second cloud shifted by
+  // 0, 0.2 and 0.5. Recorded while 3-opt still ran the bitmask DP on each
+  // six-node block; the matching decides a_dm and so the p-value.
+  const struct {
+    double shift;
+    int a_dm;
+    double p_value;
+  } want[] = {{0.0, 60, 0x1.213c678b9193fp-2},
+              {0.2, 58, 0x1.68d88a746fffp-3},
+              {0.5, 46, 0x1.16234644634dp-10}};
+  for (const auto& w : want) {
+    util::Rng rng(3);
+    auto result = CrossMatchTest(GaussianCloud(128, 5, 0.0, 71),
+                                 GaussianCloud(128, 5, w.shift, 72), rng);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->a_dm, w.a_dm) << "shift " << w.shift;
+    EXPECT_EQ(result->p_value, w.p_value) << "shift " << w.shift;
+  }
+}
+
 TEST(CrossMatchTest, PairCountsAreConsistent) {
   util::Rng rng(7);
   auto a = GaussianCloud(15, 2, 0.0, 8);

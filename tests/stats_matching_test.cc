@@ -1,5 +1,6 @@
 #include "stats/matching.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -59,13 +60,17 @@ TEST(MatchingTest, NonFiniteDistanceIsInvalidArgumentNotAbort) {
 
 TEST(MatchingTest, OverflowingWeightIsAnErrorNotAnAbort) {
   // Finite weights whose sum overflows to +inf leave the full matching
-  // unreachable in the exact DP.
+  // unreachable in the exact DP. 24 nodes take greedy + 2-opt + 3-opt,
+  // whose six-node sub-solve returns the same error.
   const double huge = std::numeric_limits<double>::max();
-  DistanceMatrix d(4, std::vector<double>(4, huge));
-  for (size_t i = 0; i < 4; ++i) d[i][i] = 0.0;
-  auto exact = ExactMinWeightPerfectMatching(d);
-  ASSERT_FALSE(exact.ok());
-  EXPECT_EQ(exact.status().code(), util::StatusCode::kInvalidArgument);
+  for (size_t n : {4u, 24u}) {
+    DistanceMatrix d(n, std::vector<double>(n, huge));
+    for (size_t i = 0; i < n; ++i) d[i][i] = 0.0;
+    auto mate = n <= 22 ? ExactMinWeightPerfectMatching(d)
+                        : MinWeightPerfectMatching(d);
+    ASSERT_FALSE(mate.ok()) << n;
+    EXPECT_EQ(mate.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MatchingTest, TrivialTwoNodes) {
@@ -151,6 +156,73 @@ TEST(MatchingTest, LargeInstanceCompletesAndIsValid) {
   auto mate = MinWeightPerfectMatching(d);
   ASSERT_TRUE(mate.ok());
   ExpectValidMatching(*mate);
+}
+
+TEST(MatchingTest, SixNodeSolverEqualsTheExactDp) {
+  // Continuous weights, and weights from two or three values or all equal,
+  // where only the DP's order decides between tied matchings.
+  const uint64_t values[] = {0, 2, 3, 1};
+  util::Rng rng(2024);
+  DistanceMatrix d(6, std::vector<double>(6, 0.0));
+  double block[6][6];
+  int mate[6];
+  for (int trial = 0; trial < 100000; ++trial) {
+    const uint64_t k = values[trial % 4];
+    for (int i = 0; i < 6; ++i) {
+      for (int j = i + 1; j < 6; ++j) {
+        const double w = k == 0 ? rng.NextDouble() : rng.NextIndex(k);
+        d[i][j] = d[j][i] = block[i][j] = w;
+      }
+    }
+    auto want = ExactMinWeightPerfectMatching(d);
+    ASSERT_TRUE(want.ok());
+    auto weight = ExactSixNodeMatching(block, mate);
+    ASSERT_TRUE(weight.ok());
+    ASSERT_EQ(std::vector<int>(mate, mate + 6), *want) << "trial " << trial;
+    ASSERT_EQ(*weight, MatchingWeight(d, *want)) << "trial " << trial;
+  }
+  // Every matching's weight overflows: the DP's error.
+  for (auto& row : block) {
+    std::fill(row, row + 6, std::numeric_limits<double>::max());
+  }
+  auto overflow = ExactSixNodeMatching(block, mate);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(MatchingTest, HeuristicKeepsItsMatesOnPinnedInstances) {
+  // Digests of the mates on 256-point instances, recorded while 3-opt still
+  // ran the bitmask DP on each six-node block: Gaussian points, points with
+  // 40 duplicates (zero distances), and integer coordinates (many tied
+  // distances).
+  const uint64_t want[3][2] = {
+      {0x22399bf481b792e5ull, 0x46222a80f03354a5ull},
+      {0xc654e832add306c5ull, 0x837dbfeddbda2a45ull},
+      {0xedb51990979e1225ull, 0xb544db6be7f15965ull}};
+  for (int variant = 0; variant < 3; ++variant) {
+    for (uint64_t s = 1; s <= 2; ++s) {
+      util::Rng rng(1000 * variant + s);
+      std::vector<std::vector<double>> points(256, std::vector<double>(4));
+      for (auto& p : points) {
+        for (double& v : p) {
+          v = rng.Gaussian(0.0, 1.0);
+          if (variant == 2) v = std::round(3.0 * v);
+        }
+      }
+      if (variant == 1) {
+        for (int i = 216; i < 256; ++i) points[i] = points[rng.NextIndex(216)];
+      }
+      auto mate = MinWeightPerfectMatching(EuclideanDistances(points));
+      ASSERT_TRUE(mate.ok());
+      ExpectValidMatching(*mate);
+      uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the mate bytes
+      const auto* bytes = reinterpret_cast<const unsigned char*>(mate->data());
+      for (size_t i = 0; i < mate->size() * sizeof(int); ++i) {
+        h = (h ^ bytes[i]) * 0x100000001b3ull;
+      }
+      EXPECT_EQ(h, want[variant][s - 1]) << variant << " seed " << s;
+    }
+  }
 }
 
 TEST(MatchingTest, EuclideanDistancesSymmetricWithZeroDiagonal) {

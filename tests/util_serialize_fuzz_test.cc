@@ -128,36 +128,50 @@ TEST(SerializeFuzzTest, BitFlippedModelsAlwaysRejected) {
   }
 }
 
-TEST(SerializeFuzzTest, CraftedDecodeDrawsAboveTheCapAreRejected) {
-  // A well-formed snapshot (valid checksums) whose meta section asks for
-  // 2^31 - 1 decoder draws per generated attribute: loading it would stall
-  // every session that generates from it.
+/// `model` as a snapshot of payload `version`, with version 1's decode
+/// strategy and draw count after default_t when `strategy` >= 0.
+std::vector<uint8_t> CraftSnapshot(vae::VaeAqpModel& model, uint32_t version,
+                                   int strategy = -1, int32_t draws = 0) {
+  util::SnapshotWriter snap(vae::kVaeModelSnapshotKind, version);
+  util::ByteWriter& meta = snap.AddSection("meta");
+  meta.WriteF64(model.default_t());
+  if (strategy >= 0) {
+    meta.WriteU8(static_cast<uint8_t>(strategy));
+    meta.WriteI32(draws);
+  }
+  model.tuple_encoder().Serialize(snap.AddSection("encoder"));
+  model.net().Serialize(snap.AddSection("net"));
+  return snap.Finish();
+}
+
+TEST(SerializeFuzzTest, VersionOneSnapshotsLoadAndDecodeOneDraw) {
+  // A version-1 snapshot loads whatever draw count it holds (2^31 - 1 was
+  // refused as a stall while draws were decoded) and generates what the
+  // same model generates today. Its strategy byte is still validated.
   auto model = TrainTinyVae(21);
   ASSERT_TRUE(model.ok());
-  auto craft = [&](int32_t draws) {
-    util::SnapshotWriter snap(vae::kVaeModelSnapshotKind,
-                              vae::kVaeModelPayloadVersion);
-    util::ByteWriter& meta = snap.AddSection("meta");
-    meta.WriteF64((*model)->default_t());
-    meta.WriteU8(static_cast<uint8_t>(
-        encoding::DecodeStrategy::kWeightedRandom));
-    meta.WriteI32(draws);
-    (*model)->tuple_encoder().Serialize(snap.AddSection("encoder"));
-    (*model)->net().Serialize(snap.AddSection("net"));
-    return snap.Finish();
-  };
-  auto hostile = vae::VaeAqpModel::Deserialize(
-      craft(std::numeric_limits<int32_t>::max()));
-  ASSERT_FALSE(hostile.ok());
-  EXPECT_EQ(hostile.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(hostile.status().message().find("draws"), std::string::npos)
-      << hostile.status().ToString();
-  EXPECT_FALSE(vae::VaeAqpModel::Deserialize(
-                   craft(encoding::kMaxDecodeDraws + 1))
-                   .ok());
-  // The same bytes at the cap load: only the count was wrong.
-  EXPECT_TRUE(
-      vae::VaeAqpModel::Deserialize(craft(encoding::kMaxDecodeDraws)).ok());
+  auto old = vae::VaeAqpModel::Deserialize(
+      CraftSnapshot(**model, 1, 2, std::numeric_limits<int32_t>::max()));
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ((*old)->default_t(), (*model)->default_t());
+  util::Rng old_rng(3);
+  util::Rng new_rng(3);
+  const relation::Table got = (*old)->Generate(1000, old_rng);
+  ASSERT_EQ(got.num_rows(), 1000u);
+  ExpectTablesIdentical((*model)->Generate(1000, new_rng), got);
+  auto bad = vae::VaeAqpModel::Deserialize(CraftSnapshot(**model, 1, 3, 8));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeFuzzTest, VersionTwoMetaWithTrailingBytesIsRejected) {
+  auto model = TrainTinyVae(22);
+  ASSERT_TRUE(model.ok());
+  EXPECT_TRUE(vae::VaeAqpModel::Deserialize(CraftSnapshot(**model, 2)).ok());
+  auto back = vae::VaeAqpModel::Deserialize(CraftSnapshot(**model, 2, 2, 8));
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("trailing bytes"), std::string::npos)
+      << back.status().ToString();
 }
 
 TEST(SerializeFuzzTest, FutureSnapshotVersionsAreDiagnosed) {

@@ -9,6 +9,7 @@
 #include "aqp/metrics.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "util/snapshot.h"
 
 namespace deepaqp::vae {
 namespace {
@@ -35,16 +36,23 @@ TEST(VaeModelTest, TrainRejectsDegenerateInputs) {
   EXPECT_FALSE(VaeAqpModel::Train(table, bad).ok());
 }
 
-TEST(VaeModelTest, TrainRejectsDrawsAboveTheCap) {
+TEST(VaeModelTest, SnapshotMetaHoldsOnlyTheDefaultThreshold) {
+  // Payload version 2 dropped the decode options: 'meta' is default_t.
   auto table = data::GenerateTaxi({.rows = 100, .seed = 1});
   VaeAqpOptions opts = FastOptions();
   opts.epochs = 1;
-  opts.decode.draws = encoding::kMaxDecodeDraws + 1;
   const auto model = VaeAqpModel::Train(table, opts);
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), util::StatusCode::kInvalidArgument);
-  opts.decode.draws = encoding::kMaxDecodeDraws;
-  EXPECT_TRUE(VaeAqpModel::Train(table, opts).ok());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const std::vector<uint8_t> bytes = (*model)->Serialize();
+  auto snap = util::SnapshotReader::Open(bytes);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->payload_version(), 2u);
+  auto meta = snap->Section("meta");
+  ASSERT_TRUE(meta.ok());
+  const auto t = meta->ReadF64();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, (*model)->default_t());
+  EXPECT_TRUE(meta->AtEnd());
 }
 
 TEST(VaeModelTest, GeneratesFromCodesWithoutLabels) {
