@@ -1,22 +1,15 @@
 #include "server/channel.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/failpoint.h"
 
 namespace deepaqp::server {
 
-ChannelProducer::ChannelProducer(uint64_t channel_id, const Options& options)
-    : channel_(channel_id), options_(options) {
-  if (options_.window == 0) options_.window = 1;
-  if (options_.retransmit_ticks == 0) options_.retransmit_ticks = 1;
-}
-
 bool ChannelProducer::CanPush() const {
-  return error_.ok() && !final_pushed_ &&
-         in_flight_.size() < options_.window &&
-         (options_.max_buffered_bytes == 0 ||
-          stats_.buffered_bytes < options_.max_buffered_bytes);
+  return error_.ok() && !final_pushed_ && unacked_.size() < kChannelWindow &&
+         stats_.buffered_bytes < kChannelMaxBufferedBytes;
 }
 
 util::Status ChannelProducer::Push(std::vector<uint8_t> payload, bool final) {
@@ -26,47 +19,34 @@ util::Status ChannelProducer::Push(std::vector<uint8_t> payload, bool final) {
         "channel " + std::to_string(channel_) +
         ": push after final frame");
   }
-  if (in_flight_.size() >= options_.window) {
+  if (unacked_.size() >= kChannelWindow) {
     return util::Status::FailedPrecondition(
         "channel " + std::to_string(channel_) + ": window full (" +
-        std::to_string(options_.window) + " unacked frames)");
+        std::to_string(kChannelWindow) + " unacked frames)");
   }
-  if (options_.max_buffered_bytes != 0 &&
-      stats_.buffered_bytes >= options_.max_buffered_bytes) {
+  if (stats_.buffered_bytes >= kChannelMaxBufferedBytes) {
     return util::Status::FailedPrecondition(
-        "channel " + std::to_string(channel_) + ": retransmit buffer full (" +
+        "channel " + std::to_string(channel_) + ": replay buffer full (" +
         std::to_string(stats_.buffered_bytes) + " unacked bytes)");
   }
-  if (util::FailpointTriggered("server/channel_send", next_seq_)) {
+  if (util::FailpointTriggered("server/channel_send", next_seq())) {
     error_ = util::FailpointError("server/channel_send");
     return error_;
   }
-  Pending& p = in_flight_[next_seq_];
   stats_.buffered_bytes += payload.size();
   stats_.peak_buffered_bytes =
       std::max(stats_.peak_buffered_bytes, stats_.buffered_bytes);
-  p.payload = std::move(payload);
-  p.final = final;
-  ++next_seq_;
+  unacked_.push_back({std::move(payload), final});
   final_pushed_ = final;
-  ++stats_.pushed;
   return util::Status::OK();
 }
 
 std::vector<DataFrame> ChannelProducer::PollSend() {
   std::vector<DataFrame> out;
   if (!error_.ok()) return out;
-  for (auto& [seq, p] : in_flight_) {
-    if (p.sent && !p.resend_due) continue;
-    DataFrame frame;
-    frame.channel = channel_;
-    frame.seq = seq;
-    frame.final = p.final;
-    frame.payload = p.payload;
-    out.push_back(std::move(frame));
-    p.sent = true;
-    p.resend_due = false;
-    p.last_sent_tick = now_;
+  for (; next_send_ < next_seq(); ++next_send_) {
+    const Pending& p = unacked_[next_send_ - acked_];
+    out.push_back({channel_, next_send_, p.final, p.payload});
     ++stats_.transmissions;
   }
   return out;
@@ -74,122 +54,57 @@ std::vector<DataFrame> ChannelProducer::PollSend() {
 
 void ChannelProducer::OnAck(const AckFrame& ack) {
   if (!error_.ok()) return;
-  ++stats_.acks;
-  bool progressed = false;
-
-  if (ack.cumulative > cumulative_acked_) {
-    cumulative_acked_ = ack.cumulative;
-    progressed = true;
+  if (ack.cumulative <= acked_) {
+    ++stats_.stale_acks;
+    return;
   }
-  // Drop everything below the (monotonic) cumulative mark.
-  while (!in_flight_.empty() &&
-         in_flight_.begin()->first < cumulative_acked_) {
-    stats_.buffered_bytes -= in_flight_.begin()->second.payload.size();
-    in_flight_.erase(in_flight_.begin());
+  if (ack.cumulative > next_seq()) {
+    error_ = util::Status::InvalidArgument(
+        "channel " + std::to_string(channel_) + ": ack of seq " +
+        std::to_string(ack.cumulative - 1) + " but only " +
+        std::to_string(next_seq()) + " frames were pushed");
+    return;
   }
-  // Drop selectively acknowledged frames and infer NACKs: any sent frame
-  // below the highest selective ack that the consumer did not report is
-  // missing on its side — retransmit without waiting for the timeout.
-  uint64_t highest_sack = 0;
-  for (uint64_t seq : ack.selective) {
-    if (seq < ack.cumulative) continue;  // stale SACK entry
-    highest_sack = std::max(highest_sack, seq);
-    auto it = in_flight_.find(seq);
-    if (it != in_flight_.end()) {
-      stats_.buffered_bytes -= it->second.payload.size();
-      in_flight_.erase(it);
-      progressed = true;
-    }
+  for (; acked_ < ack.cumulative; ++acked_) {
+    stats_.buffered_bytes -= unacked_.front().payload.size();
+    unacked_.pop_front();
   }
-  if (highest_sack > 0) {
-    for (auto& [seq, p] : in_flight_) {
-      if (seq >= highest_sack) break;
-      if (p.sent && !p.resend_due) {
-        // Fast retransmits spend the same per-frame budget as timeouts:
-        // Tick() skips resend_due frames, so without this check a
-        // persistent SACK gap could retransmit one frame unboundedly.
-        if (p.retransmits >= options_.max_retransmits_per_frame) {
-          error_ = util::Status::Internal(
-              "channel " + std::to_string(channel_) + ": seq " +
-              std::to_string(seq) + " unacknowledged after " +
-              std::to_string(p.retransmits) +
-              " retransmits (peer dead or schedule hostile)");
-          return;
-        }
-        p.resend_due = true;
-        ++p.retransmits;
-        ++stats_.nack_retransmits;
-      }
-    }
-  }
-  if (!progressed) ++stats_.stale_acks;
-}
-
-void ChannelProducer::Tick() {
-  if (!error_.ok()) return;
-  ++now_;
-  for (auto& [seq, p] : in_flight_) {
-    if (!p.sent || p.resend_due) continue;
-    if (now_ - p.last_sent_tick < options_.retransmit_ticks) continue;
-    if (p.retransmits >= options_.max_retransmits_per_frame) {
-      error_ = util::Status::Internal(
-          "channel " + std::to_string(channel_) + ": seq " +
-          std::to_string(seq) + " unacknowledged after " +
-          std::to_string(p.retransmits) +
-          " retransmits (peer dead or schedule hostile)");
-      return;
-    }
-    p.resend_due = true;
-    ++p.retransmits;
-    ++stats_.timeout_retransmits;
-  }
+  // A resumed consumer may ack frames the rewound cursor has not re-sent.
+  next_send_ = std::max(next_send_, acked_);
 }
 
 void ChannelProducer::ReplayUnacked() {
   if (!error_.ok()) return;
-  for (auto& [seq, p] : in_flight_) {
-    if (!p.sent || p.resend_due) continue;
-    p.resend_due = true;
-    ++stats_.resume_replays;
-  }
+  stats_.resume_replays += next_send_ - acked_;
+  next_send_ = acked_;
 }
 
-void ChannelConsumer::OnData(const DataFrame& frame) {
+util::Status ChannelConsumer::OnData(const DataFrame& frame) {
   ++stats_.frames;
-  if (frame.seq < next_expected_ || parked_.count(frame.seq) != 0) {
+  if (frame.seq < next_expected_) {
     ++stats_.duplicates;
-    return;
+    return util::Status::OK();
   }
-  Parked& p = parked_[frame.seq];
-  p.payload = frame.payload;
-  p.final = frame.final;
-  if (frame.seq != next_expected_) ++stats_.buffered;
-  // Release the in-order run that just became contiguous.
-  auto it = parked_.begin();
-  while (it != parked_.end() && it->first == next_expected_) {
-    ready_.push_back(std::move(it->second.payload));
-    ++stats_.delivered;
-    if (it->second.final) finished_ = true;
-    it = parked_.erase(it);
-    ++next_expected_;
+  if (frame.seq > next_expected_ || finished_) {
+    return util::Status::InvalidArgument(
+        "channel " + std::to_string(channel_) + ": frame seq " +
+        std::to_string(frame.seq) +
+        (finished_ ? " after the final frame"
+                   : " ahead of expected seq " +
+                         std::to_string(next_expected_)) +
+        " on an ordered stream");
   }
+  ready_.push_back(frame.payload);
+  ++stats_.delivered;
+  ++next_expected_;
+  finished_ = frame.final;
+  return util::Status::OK();
 }
 
 std::vector<std::vector<uint8_t>> ChannelConsumer::TakeDelivered() {
   std::vector<std::vector<uint8_t>> out;
   out.swap(ready_);
   return out;
-}
-
-AckFrame ChannelConsumer::MakeAck(bool selective) const {
-  AckFrame ack;
-  ack.channel = channel_;
-  ack.cumulative = next_expected_;
-  if (selective) {
-    ack.selective.reserve(parked_.size());
-    for (const auto& [seq, p] : parked_) ack.selective.push_back(seq);
-  }
-  return ack;
 }
 
 }  // namespace deepaqp::server

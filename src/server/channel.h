@@ -1,27 +1,39 @@
 #ifndef DEEPAQP_SERVER_CHANNEL_H_
 #define DEEPAQP_SERVER_CHANNEL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <vector>
 
 #include "util/status.h"
 
 namespace deepaqp::server {
 
-/// Single-producer reliable ordered-delivery channel: the wire protocol of
-/// precision-on-demand streaming. Each query opens one channel; every
-/// refining estimate is one DATA frame carrying a sequence number, the
-/// consumer answers with cumulative + selective ACKs, and the producer
-/// observes a bounded in-flight window (backpressure) and retransmits on
-/// NACK or timeout.
+/// Single-producer ordered channel: the stream protocol of
+/// precision-on-demand. Each query opens one channel; every refining
+/// estimate is one DATA frame carrying a sequence number, the consumer
+/// answers with cumulative acks, and the producer holds a bounded window of
+/// unacknowledged frames (backpressure).
 ///
-/// Both endpoints are pure deterministic state machines: no threads, no
-/// wall-clock — time is a logical tick the owner advances explicitly
-/// (ChannelProducer::Tick). Every loss/reorder/duplication schedule is
-/// therefore replayable byte-for-byte, which is what lets
-/// tests/server_channel_test.cc sweep hundreds of seeded adversarial
-/// schedules and assert exact in-order delivery on each.
+/// Every transport in the tree is an ordered, reliable byte stream (the
+/// in-process pipe, stdio pipes, TCP), so the channel does no loss
+/// recovery. The one way a frame goes missing is a dead connection; the
+/// session then resumes on a new one and ReplayUnacked re-sends every
+/// unacknowledged frame in order, and the consumer drops the replayed
+/// frames it already holds. Both endpoints are pure state machines with no
+/// threads and no clock.
+
+/// Most unacknowledged frames one stream keeps; CanPush() is false at the
+/// bound. A slow or absent consumer halts estimate generation instead of
+/// ballooning the replay buffer.
+inline constexpr size_t kChannelWindow = 8;
+
+/// Memory bound on the replay buffer: CanPush() is false while the unacked
+/// payload bytes reach it, whatever the frame count. A stalled consumer
+/// therefore caps a stream's server-side memory at about this plus one
+/// frame.
+inline constexpr size_t kChannelMaxBufferedBytes = 8u << 20;
 
 /// One refinement estimate in flight. `seq` starts at 0 per channel;
 /// `final` marks the stream's last frame (the estimate that met the
@@ -35,15 +47,9 @@ struct DataFrame {
 
 /// Consumer -> producer acknowledgment. `cumulative` is the next expected
 /// sequence number: every seq < cumulative has been delivered in order.
-/// `selective` lists delivered-but-buffered seqs >= cumulative (ascending);
-/// gaps below its maximum are implicit NACKs the producer answers with a
-/// fast retransmit. An empty `selective` degrades the protocol to plain
-/// cumulative ACKs (timeout-only recovery) — delivery is unaffected, only
-/// recovery latency (the equivalence is pinned by the test suite).
 struct AckFrame {
   uint64_t channel = 0;
   uint64_t cumulative = 0;
-  std::vector<uint64_t> selective;
 };
 
 /// Producer endpoint. Owned by the server session generating a query's
@@ -52,44 +58,21 @@ struct AckFrame {
 ///   while (!done) {
 ///     if (producer.CanPush()) producer.Push(NextEstimate(), final);
 ///     for (frame : producer.PollSend()) transport.Send(frame);
-///     ... on ack arrival: producer.OnAck(ack); producer.Tick();
+///     ... on ack arrival: producer.OnAck(ack);
 ///   }
 class ChannelProducer {
  public:
-  struct Options {
-    /// Max unacknowledged frames in flight; CanPush() is false (and Push
-    /// refuses) at the bound. This is the backpressure contract: a slow or
-    /// absent consumer halts estimate generation instead of ballooning the
-    /// retransmit buffer.
-    size_t window = 8;
-    /// Logical ticks without an ACK before an in-flight frame is
-    /// re-offered by PollSend.
-    uint64_t retransmit_ticks = 4;
-    /// Retransmissions a single frame may consume before the channel gives
-    /// up with a descriptive error (dead-peer bound).
-    uint64_t max_retransmits_per_frame = 64;
-    /// Memory bound on the retransmit buffer: CanPush() is false while the
-    /// unacked payload bytes reach this, independent of the frame-count
-    /// window. A stalled consumer therefore caps this stream's server-side
-    /// memory at roughly max_buffered_bytes + one frame. 0 = unbounded.
-    size_t max_buffered_bytes = 8u << 20;
-  };
-
   struct Stats {
-    uint64_t pushed = 0;            ///< estimates accepted by Push
     uint64_t transmissions = 0;     ///< DATA frames handed to PollSend callers
-    uint64_t timeout_retransmits = 0;
-    uint64_t nack_retransmits = 0;  ///< fast retransmits from SACK gaps
-    uint64_t resume_replays = 0;    ///< frames re-offered by ReplayUnacked
-    uint64_t acks = 0;
+    uint64_t resume_replays = 0;    ///< frames re-sent by ReplayUnacked
     uint64_t stale_acks = 0;        ///< acks that acknowledged nothing new
     size_t buffered_bytes = 0;      ///< payload bytes currently unacked
     size_t peak_buffered_bytes = 0; ///< high-water mark of buffered_bytes
   };
 
-  ChannelProducer(uint64_t channel_id, const Options& options);
+  explicit ChannelProducer(uint64_t channel_id) : channel_(channel_id) {}
 
-  /// True when the in-flight window has room for another estimate.
+  /// True when the window has room for another estimate.
   bool CanPush() const;
 
   /// Queues `payload` as the next sequence number. Refuses when the window
@@ -97,110 +80,85 @@ class ChannelProducer {
   /// or after the channel failed.
   util::Status Push(std::vector<uint8_t> payload, bool final);
 
-  /// Frames to transmit now: never-sent frames plus retransmissions that
-  /// came due via Tick (timeout) or OnAck (NACK gap). Each returned frame
-  /// is marked sent at the current tick; calling PollSend twice in a row
-  /// returns nothing new the second time.
+  /// Frames to transmit now: every pushed frame past the send cursor, in
+  /// sequence order. Calling PollSend twice in a row returns nothing new the
+  /// second time.
   std::vector<DataFrame> PollSend();
 
-  /// Applies an acknowledgment: drops every acked frame from the retransmit
-  /// buffer and schedules fast retransmits for SACK gaps. Fast retransmits
-  /// draw on the same max_retransmits_per_frame budget as timeout
-  /// retransmits and fail the channel when it is exhausted.
+  /// Applies a cumulative acknowledgment, dropping every acked frame from
+  /// the replay buffer. An ack for frames never pushed fails the channel:
+  /// the consumer claims frames it cannot hold.
   void OnAck(const AckFrame& ack);
 
-  /// Advances the logical clock one step; in-flight frames whose last
-  /// transmission is `retransmit_ticks` old become due for retransmission.
-  /// A frame exceeding max_retransmits_per_frame fails the channel.
-  void Tick();
-
-  /// Marks every sent-but-unacked frame due for retransmission — the
+  /// Rewinds the send cursor to the oldest unacked frame — the
   /// session-resumption replay. A reconnecting consumer may have lost any
-  /// suffix of the in-flight window, so everything unacked is re-offered at
-  /// the next PollSend; duplicates are dropped by the consumer. Replays do
-  /// not spend the per-frame retransmit budget (each one is triggered by an
-  /// authenticated re-attach, not by a silent peer).
+  /// suffix of the window with its old connection, so everything unacked is
+  /// re-sent at the next PollSend; the consumer drops what it already holds.
   void ReplayUnacked();
 
   /// True once the final frame was pushed and every frame is acknowledged.
-  bool complete() const { return final_pushed_ && in_flight_.empty(); }
+  bool complete() const { return final_pushed_ && unacked_.empty(); }
 
-  /// True when the channel gave up (retransmit budget exhausted or an
-  /// injected fault); error() carries the reason.
+  /// True when the channel gave up (an injected fault or an impossible
+  /// ack); error() carries the reason.
   bool failed() const { return !error_.ok(); }
   const util::Status& error() const { return error_; }
 
   uint64_t channel_id() const { return channel_; }
-  uint64_t next_seq() const { return next_seq_; }
-  size_t in_flight() const { return in_flight_.size(); }
-  bool final_pushed() const { return final_pushed_; }
+  uint64_t next_seq() const { return acked_ + unacked_.size(); }
   const Stats& stats() const { return stats_; }
 
  private:
   struct Pending {
     std::vector<uint8_t> payload;
     bool final = false;
-    bool sent = false;          ///< transmitted at least once
-    bool resend_due = false;    ///< timeout or NACK asked for retransmission
-    uint64_t last_sent_tick = 0;
-    uint64_t retransmits = 0;
   };
 
   uint64_t channel_;
-  Options options_;
-  uint64_t next_seq_ = 0;
-  uint64_t now_ = 0;
-  uint64_t cumulative_acked_ = 0;  ///< highest cumulative ack seen
+  uint64_t acked_ = 0;      ///< seq of unacked_.front(): the cumulative ack
+  uint64_t next_send_ = 0;  ///< seq PollSend sends next
   bool final_pushed_ = false;
-  std::map<uint64_t, Pending> in_flight_;  ///< seq -> unacked frame
+  std::deque<Pending> unacked_;  ///< seqs [acked_, next_seq()), in order
   util::Status error_;
   Stats stats_;
 };
 
-/// Consumer endpoint. Tolerates loss (gaps are NACKed via MakeAck),
-/// reordering (out-of-order frames are buffered and released in sequence)
-/// and duplication (frames at an already-delivered or already-buffered seq
-/// are dropped and counted) — TakeDelivered() yields each payload exactly
-/// once, in sequence order, no matter the schedule.
+/// Consumer endpoint. Frames arrive in order; a frame at an already
+/// delivered seq (a resume replay) is dropped and counted, and a frame
+/// ahead of sequence is an error — an ordered transport cannot produce it.
+/// TakeDelivered() yields each payload exactly once, in sequence order.
 class ChannelConsumer {
  public:
   struct Stats {
     uint64_t frames = 0;      ///< DATA frames observed
-    uint64_t duplicates = 0;  ///< dropped as already delivered/buffered
-    uint64_t buffered = 0;    ///< arrived ahead of sequence, parked
+    uint64_t duplicates = 0;  ///< dropped as already delivered
     uint64_t delivered = 0;   ///< payloads released in order
   };
 
   explicit ChannelConsumer(uint64_t channel_id) : channel_(channel_id) {}
 
-  /// Accepts one frame (any order, any multiplicity).
-  void OnData(const DataFrame& frame);
+  /// Accepts one frame. Returns an error, and delivers nothing, for a frame
+  /// past next_expected() or past the final frame; the consumer's state is
+  /// unchanged, so in-order delivery can continue.
+  util::Status OnData(const DataFrame& frame);
 
-  /// Drains every payload that is deliverable in order; each is returned
-  /// exactly once across the consumer's lifetime.
+  /// Drains every payload delivered so far; each is returned exactly once
+  /// across the consumer's lifetime.
   std::vector<std::vector<uint8_t>> TakeDelivered();
 
   /// True once the final frame and all its predecessors were delivered.
   bool finished() const { return finished_; }
 
-  /// Builds the acknowledgment describing the current receive state. With
-  /// `selective` false the SACK list is omitted (cumulative-only mode).
-  AckFrame MakeAck(bool selective = true) const;
+  /// The acknowledgment of everything delivered so far.
+  AckFrame MakeAck() const { return {channel_, next_expected_}; }
 
-  uint64_t channel_id() const { return channel_; }
   uint64_t next_expected() const { return next_expected_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Parked {
-    std::vector<uint8_t> payload;
-    bool final = false;
-  };
-
   uint64_t channel_;
   uint64_t next_expected_ = 0;
   bool finished_ = false;
-  std::map<uint64_t, Parked> parked_;  ///< out-of-order buffer, seq -> frame
   std::vector<std::vector<uint8_t>> ready_;
   Stats stats_;
 };

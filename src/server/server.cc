@@ -50,9 +50,9 @@ util::Status AqpServer::SessionState::Send(const ServerMessage& message) const {
   std::shared_ptr<MessageSink> sink = Sink();
   if (sink == nullptr) {
     // Detached: the connection died and nobody resumed yet. Dropping is
-    // correct — channel frames sit in the retransmit buffer until the
-    // resumed client replays them, and unreliable messages (errors, pongs)
-    // have no one to hear them anyway.
+    // correct — unacked channel frames stay in their stream's window and
+    // the resume replays them, and other messages (errors, pongs) have no
+    // one to hear them anyway.
     return util::Status::IOError(std::string(kPeerClosedMarker) +
                                  ": session detached");
   }
@@ -164,7 +164,7 @@ void AqpServer::HandleOpenSession(const ClientMessage& message,
   util::Status posted = scheduler_.Post(
       session_id, [this, state, session_id, model_name, snap, copts] {
         state->session = std::make_unique<Session>(
-            session_id, model_name, snap, copts, options_.channel);
+            session_id, model_name, snap, copts);
         ServerMessage opened;
         opened.kind = ServerMessageKind::kSessionOpened;
         opened.session = session_id;
@@ -291,8 +291,8 @@ void AqpServer::HandleAck(const ClientMessage& message,
               MakeError(session_id, ack.channel, SessionMissing(session_id)));
           return;
         }
-        // The ack may open the window, retire the front stream (promoting a
-        // pipelined successor) or make retransmits due; the step acts on it.
+        // The ack may open the window or retire the front stream (promoting
+        // a pipelined successor); the step acts on it.
         state->session->HandleAck(ack);
         StepSession(state);
       });
@@ -377,7 +377,7 @@ void AqpServer::HandleResumeSession(const ClientMessage& message,
           state->Send(MakeError(session_id, 0, SessionMissing(session_id)));
           return;
         }
-        // The replay marks frames resend-due; the step transmits them.
+        // The replay rewinds each stream's send cursor; the step re-sends.
         state->session->ReplayUnacked();
         StepSession(state);
       });

@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "server/channel.h"
 #include "server/registry.h"
 #include "server/scheduler.h"
 #include "server/session.h"
@@ -22,16 +21,18 @@ namespace deepaqp::server {
 
 /// The transport-agnostic AQP serving daemon: model registry (shared
 /// read-only snapshots) + per-session AqpClient state + a strand scheduler
-/// multiplexing sessions over the shared thread pool + one reliable ordered
-/// channel per query stream.
+/// multiplexing sessions over the shared thread pool + one windowed,
+/// cumulatively acked channel per query stream.
 ///
 /// A transport is anything that decodes ClientMessages, calls Handle, and
 /// owns a MessageSink for the responses — the in-process PipeTransport, the
 /// length-prefixed stdio framing, and the TCP socket transport all reduce
-/// to exactly that.
+/// to exactly that. Each is an ordered, reliable byte stream, so channels
+/// recover no loss: a frame is missing only when its connection died, and
+/// resuming the session replays every unacked frame.
 ///
 /// Handle is cheap and non-blocking: session work (estimate computation,
-/// frame transmission, retransmits) happens on the session's scheduler
+/// frame transmission, resume replays) happens on the session's scheduler
 /// strand, and responses can reach the sink from those threads at any time
 /// after Handle returns. A query's first estimate is computed on the pool
 /// the session holds and sent before any pool growth; each later
@@ -57,7 +58,6 @@ class AqpServer {
     /// and therefore produce identical sample pools — the determinism the
     /// multi-session bit-identity tests pin down.
     vae::AqpClient::Options client;
-    ChannelProducer::Options channel;
     /// Admission bounds. max_sessions caps live sessions (including
     /// detached ones awaiting resumption); max_queued_per_session caps one
     /// strand's queued client requests. 0 = unbounded.
@@ -86,9 +86,9 @@ class AqpServer {
               const std::shared_ptr<MessageSink>& sink);
 
   /// Connection-death notification from a transport: every session whose
-  /// current sink is `sink` is detached — deliveries are dropped (the
-  /// reliable channel keeps unacked frames buffered) until the client
-  /// resumes with its token or the session is closed. Never destroys
+  /// current sink is `sink` is detached — deliveries are dropped (each
+  /// channel keeps its unacked frames for the resume replay) until the
+  /// client resumes with its token or the session is closed. Never destroys
   /// session state.
   void DetachSink(const std::shared_ptr<MessageSink>& sink);
 

@@ -36,8 +36,7 @@ class Session {
   /// Binds to `snapshot` (current registry version of `model_name`).
   Session(uint64_t id, std::string model_name,
           std::shared_ptr<const ModelSnapshot> snapshot,
-          const vae::AqpClient::Options& client_options,
-          const ChannelProducer::Options& channel_options);
+          const vae::AqpClient::Options& client_options);
 
   uint64_t id() const { return id_; }
   const std::string& model_name() const { return model_name_; }
@@ -84,17 +83,16 @@ class Session {
   void FailFrontStream(const util::Status& reason,
                        std::vector<ServerMessage>* errors);
 
-  /// Routes an acknowledgment to its stream (advancing the logical clock;
-  /// retransmission timeouts are measured in received-ack events, not wall
-  /// time). Unknown channel ids are ignored (late acks of completed
-  /// streams are legal).
+  /// Routes a cumulative acknowledgment to its stream, releasing the
+  /// frames it covers from the stream's window. Unknown channel ids are
+  /// ignored (late acks of completed streams are legal).
   void HandleAck(const AckFrame& ack);
 
-  /// Session-resumption replay: every stream re-offers its sent-but-unacked
-  /// frames at the next Step (the reconnecting consumer dedups). Estimates
-  /// are NOT recomputed — the retransmit buffers carry the original bytes,
-  /// which is what keeps a resumed stream bit-identical to an uninterrupted
-  /// one.
+  /// Session-resumption replay: every stream re-sends its unacked frames
+  /// at the next Step (the reconnecting consumer drops what it already
+  /// holds). Estimates are NOT recomputed — the replay buffers carry the
+  /// original bytes, which is what keeps a resumed stream bit-identical to
+  /// an uninterrupted one.
   void ReplayUnacked();
 
   /// Forced drain (shutdown deadline exceeded): every open stream dies with
@@ -112,20 +110,14 @@ class Session {
 
  private:
   struct QueryStream {
-    uint64_t channel = 0;
+    ChannelProducer producer;  ///< channel_id() is the stream's channel
     aqp::AggregateQuery query;
     double max_relative_ci = 0.0;
-    ChannelProducer producer;
-
-    QueryStream(uint64_t channel_id, const ChannelProducer::Options& options)
-        : channel(channel_id), producer(channel_id, options) {}
   };
 
   uint64_t id_;
   std::string model_name_;
   std::shared_ptr<const ModelSnapshot> snapshot_;
-  vae::AqpClient::Options client_options_;
-  ChannelProducer::Options channel_options_;
   std::unique_ptr<vae::AqpClient> client_;
   std::deque<QueryStream> streams_;  ///< FIFO; front refines first
   uint64_t model_swaps_ = 0;

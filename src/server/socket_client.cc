@@ -347,7 +347,9 @@ util::Result<RetryingConnection::StreamResult> RetryingConnection::RunQuery(
     switch (msg.kind) {
       case ServerMessageKind::kData: {
         if (msg.channel != result.channel) break;  // stale stream
-        consumer.OnData(msg.data);
+        // An ordered connection cannot skip a frame, so a gap is a protocol
+        // fault: report it instead of waiting out io_timeout_ms.
+        DEEPAQP_RETURN_IF_ERROR(consumer.OnData(msg.data));
         ClientMessage ackmsg;
         ackmsg.kind = ClientMessageKind::kAck;
         ackmsg.session = session_;

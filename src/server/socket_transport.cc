@@ -318,8 +318,8 @@ void SocketServer::CloseConnection(uint64_t conn_id, const char* why) {
     conns_.erase(it);
   }
   conn->open.store(false, std::memory_order_release);
-  // Detach before closing the fd: sessions on this connection park (frames
-  // stay in their retransmit buffers) and stay resumable by token.
+  // Detach before closing the fd: sessions on this connection park (unacked
+  // frames stay in their streams' windows) and stay resumable by token.
   server_->DetachSink(conn->sink);
   ::close(conn->fd);
 }

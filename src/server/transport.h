@@ -23,9 +23,11 @@ class MessageSink {
  public:
   virtual ~MessageSink() = default;
   /// Delivery outcome: a non-OK status means the bytes did not reach the
-  /// peer (dead connection, I/O error). Callers on the server side may
-  /// ignore it for frames the reliable channel will retransmit anyway, but
-  /// a sink must never silently drop bytes and report success.
+  /// peer (dead connection, I/O error). Channel frames are not re-sent on
+  /// the same connection: a resume on a new one replays the unacked ones,
+  /// and a consumer that sees a later frame after a lost one rejects the
+  /// gap as an error. A sink must never silently drop bytes and report
+  /// success.
   virtual util::Status Deliver(const ServerMessage& message) = 0;
 };
 

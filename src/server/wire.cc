@@ -9,36 +9,15 @@ namespace deepaqp::server {
 
 namespace {
 
-void WriteU64Vector(util::ByteWriter* w, const std::vector<uint64_t>& v) {
-  w->WriteU64(v.size());
-  for (uint64_t x : v) w->WriteU64(x);
-}
-
-util::Result<std::vector<uint64_t>> ReadU64Vector(util::ByteReader* r) {
-  DEEPAQP_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
-  if (n > r->remaining() / sizeof(uint64_t)) {
-    return util::Status::InvalidArgument("u64 vector length exceeds buffer");
-  }
-  std::vector<uint64_t> v;
-  v.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    DEEPAQP_ASSIGN_OR_RETURN(uint64_t x, r->ReadU64());
-    v.push_back(x);
-  }
-  return v;
-}
-
 void WriteAck(util::ByteWriter* w, const AckFrame& ack) {
   w->WriteU64(ack.channel);
   w->WriteU64(ack.cumulative);
-  WriteU64Vector(w, ack.selective);
 }
 
 util::Result<AckFrame> ReadAck(util::ByteReader* r) {
   AckFrame ack;
   DEEPAQP_ASSIGN_OR_RETURN(ack.channel, r->ReadU64());
   DEEPAQP_ASSIGN_OR_RETURN(ack.cumulative, r->ReadU64());
-  DEEPAQP_ASSIGN_OR_RETURN(ack.selective, ReadU64Vector(r));
   return ack;
 }
 

@@ -441,7 +441,9 @@ server::AqpServer::Options ServerChaosOptions() {
 }
 
 /// Drives one query over the pipe to completion; returns the decoded final
-/// estimate, or the stream's error.
+/// estimate, or the stream's error. The pipe is ordered and lossless, so the
+/// reply to the query is its start notification, every later message
+/// belongs to the stream, and no frame arrives twice.
 util::Result<server::Estimate> RunServerQuery(
     server::AqpServer& srv, const std::shared_ptr<server::PipeTransport>& pipe,
     uint64_t session, const std::string& sql, double max_relative_ci) {
@@ -452,29 +454,21 @@ util::Result<server::Estimate> RunServerQuery(
   query.max_relative_ci = max_relative_ci;
   srv.Handle(query, pipe);
 
-  server::ServerMessage first;
-  do {
-    first = pipe->Pop();
-  } while (first.kind == server::ServerMessageKind::kData);  // stale frames
-  if (first.kind == server::ServerMessageKind::kError) {
+  const server::ServerMessage first = pipe->Pop();
+  if (first.kind != server::ServerMessageKind::kQueryStarted) {
+    EXPECT_EQ(first.kind, server::ServerMessageKind::kError);
     return util::Status::Internal(first.message);
   }
-  EXPECT_EQ(first.kind, server::ServerMessageKind::kQueryStarted);
   server::ChannelConsumer consumer(first.channel);
   std::vector<uint8_t> last_payload;
   while (!consumer.finished()) {
     server::ServerMessage msg = pipe->Pop();
-    if (msg.kind == server::ServerMessageKind::kData &&
-        msg.channel != first.channel) {
-      continue;
-    }
-    if (msg.kind == server::ServerMessageKind::kError) {
+    if (msg.kind != server::ServerMessageKind::kData) {
+      EXPECT_EQ(msg.kind, server::ServerMessageKind::kError);
       return util::Status::Internal(msg.message);
     }
-    if (msg.kind != server::ServerMessageKind::kData) {
-      return util::Status::Internal("unexpected message kind");
-    }
-    consumer.OnData(msg.data);
+    EXPECT_EQ(msg.channel, first.channel);
+    DEEPAQP_RETURN_IF_ERROR(consumer.OnData(msg.data));
     for (auto& p : consumer.TakeDelivered()) last_payload = std::move(p);
     server::ClientMessage ack;
     ack.kind = server::ClientMessageKind::kAck;
@@ -482,6 +476,7 @@ util::Result<server::Estimate> RunServerQuery(
     ack.ack = consumer.MakeAck();
     srv.Handle(ack, pipe);
   }
+  EXPECT_EQ(consumer.stats().duplicates, 0u);
   return server::DecodeEstimate(last_payload);
 }
 

@@ -121,7 +121,10 @@ struct StreamOutcome {
 };
 
 /// Drives one query to completion over the pipe: submits it, acks every
-/// DATA frame, reassembles the in-order payload stream.
+/// DATA frame, reassembles the in-order payload stream. The pipe is ordered
+/// and lossless, so the pump is strict: the reply to the query is its start
+/// notification, every later message is a frame of this stream, and no
+/// frame arrives twice.
 StreamOutcome RunQuery(AqpServer& server, const std::shared_ptr<PipeTransport>& pipe,
                        uint64_t session, const QuerySpec& spec) {
   StreamOutcome outcome;
@@ -132,36 +135,24 @@ StreamOutcome RunQuery(AqpServer& server, const std::shared_ptr<PipeTransport>& 
   query.max_relative_ci = spec.max_relative_ci;
   server.Handle(query, pipe);
 
-  // Late retransmissions of already-completed channels may trail in the
-  // pipe (the consumer-side dedup makes them harmless); skip them while
-  // waiting for this query's start notification.
-  ServerMessage first;
-  for (;;) {
-    first = pipe->Pop();
-    if (first.kind != ServerMessageKind::kData) break;
-  }
-  if (first.kind == ServerMessageKind::kError) {
+  const ServerMessage first = pipe->Pop();
+  if (first.kind != ServerMessageKind::kQueryStarted) {
+    EXPECT_EQ(first.kind, ServerMessageKind::kError);
     outcome.error = util::Status::Internal(first.message);
     return outcome;
   }
-  EXPECT_EQ(first.kind, ServerMessageKind::kQueryStarted);
   ChannelConsumer consumer(first.channel);
   while (!consumer.finished()) {
     ServerMessage msg = pipe->Pop();
-    if (msg.kind == ServerMessageKind::kData &&
-        msg.channel != first.channel) {
-      continue;  // stale frame of a finished stream
-    }
-    if (msg.kind == ServerMessageKind::kError) {
+    if (msg.kind != ServerMessageKind::kData) {
+      EXPECT_EQ(msg.kind, ServerMessageKind::kError);
       outcome.error = util::Status::Internal(msg.message);
       return outcome;
     }
-    EXPECT_EQ(msg.kind, ServerMessageKind::kData) << msg.message;
-    if (msg.kind != ServerMessageKind::kData) {
-      outcome.error = util::Status::Internal("unexpected message kind");
-      return outcome;
-    }
-    consumer.OnData(msg.data);
+    EXPECT_EQ(msg.channel, first.channel);
+    outcome.error = consumer.OnData(msg.data);
+    EXPECT_TRUE(outcome.error.ok()) << outcome.error.message();
+    if (!outcome.error.ok()) return outcome;
     for (auto& p : consumer.TakeDelivered()) {
       outcome.payloads.push_back(std::move(p));
     }
@@ -171,6 +162,7 @@ StreamOutcome RunQuery(AqpServer& server, const std::shared_ptr<PipeTransport>& 
     ack.ack = consumer.MakeAck();
     server.Handle(ack, pipe);
   }
+  EXPECT_EQ(consumer.stats().duplicates, 0u);
   return outcome;
 }
 
@@ -213,11 +205,7 @@ TEST(ServerSessionTest, StreamMatchesDirectClientBitForBit) {
   close.kind = ClientMessageKind::kCloseSession;
   close.session = session;
   server.Handle(close, pipe);
-  ServerMessage closed;
-  do {
-    closed = pipe->Pop();
-  } while (closed.kind == ServerMessageKind::kData);  // late retransmits
-  EXPECT_EQ(closed.kind, ServerMessageKind::kSessionClosed);
+  EXPECT_EQ(pipe->Pop().kind, ServerMessageKind::kSessionClosed);
   EXPECT_EQ(server.num_sessions(), 0u);
 }
 
@@ -295,8 +283,7 @@ TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
     ASSERT_EQ(msg.kind, ServerMessageKind::kData) << msg.message;
     auto it = consumers.find(msg.channel);
     ASSERT_NE(it, consumers.end());
-    if (it->second.finished()) continue;  // late retransmit
-    it->second.OnData(msg.data);
+    ASSERT_TRUE(it->second.OnData(msg.data).ok());
     for (auto& p : it->second.TakeDelivered()) stream.push_back(std::move(p));
     if (it->second.finished()) ++finished;
     ClientMessage ack;
@@ -308,6 +295,9 @@ TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
   // Per-session serialization means the concatenated streams match a direct
   // client running the queries back to back.
   EXPECT_EQ(stream, reference);
+  for (const auto& [channel, consumer] : consumers) {
+    EXPECT_EQ(consumer.stats().duplicates, 0u) << "channel " << channel;
+  }
 }
 
 TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
@@ -317,8 +307,7 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   registry.Install("taxi", std::move(*v1));
   auto snap = registry.Get("taxi");
   ASSERT_TRUE(snap.ok());
-  Session session(1, "taxi", *snap, ClientOptions(),
-                  ChannelProducer::Options{});
+  Session session(1, "taxi", *snap, ClientOptions());
   const QuerySpec spec = DefaultQueries()[0];
   ASSERT_TRUE(session.StartQuery(7, spec.sql, spec.max_relative_ci).ok());
 
@@ -336,7 +325,7 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   std::vector<std::vector<uint8_t>> payloads;
   int rounds = 0;
   while (!consumer.finished() && rounds++ < 1000) {
-    for (const DataFrame& f : frames) consumer.OnData(f);
+    for (const DataFrame& f : frames) ASSERT_TRUE(consumer.OnData(f).ok());
     for (auto& p : consumer.TakeDelivered()) payloads.push_back(std::move(p));
     if (!consumer.finished()) {
       EXPECT_EQ(session.model_swaps(), 0u);  // deferred while mid-stream
@@ -376,8 +365,7 @@ TEST(ServerSessionTest, FirstStepSendsOneFrameBeforeAnyGrowth) {
   registry.Install("taxi", std::move(*model));
   auto snap = registry.Get("taxi");
   ASSERT_TRUE(snap.ok());
-  Session session(1, "taxi", *snap, ClientOptions(),
-                  ChannelProducer::Options{});
+  Session session(1, "taxi", *snap, ClientOptions());
   const QuerySpec spec = UnmeetableSpec();
   ASSERT_TRUE(session.StartQuery(7, spec.sql, spec.max_relative_ci).ok());
   ASSERT_TRUE(session.CanRefine());

@@ -438,9 +438,13 @@ int ServeText(server::AqpServer& srv) {
         }
         if (msg.kind != server::ServerMessageKind::kData ||
             msg.channel != first.channel) {
-          continue;  // stale frame of an earlier stream
+          continue;  // not this stream's frame
         }
-        consumer.OnData(msg.data);
+        if (util::Status st = consumer.OnData(msg.data); !st.ok()) {
+          std::printf("error: %s\n", st.ToString().c_str());
+          stream_failed = true;
+          break;
+        }
         for (const auto& payload : consumer.TakeDelivered()) {
           auto estimate = server::DecodeEstimate(payload);
           if (!estimate.ok()) {
