@@ -1,7 +1,8 @@
-// Microbenchmarks of the hot substrate paths: gemm, RNG, tuple
-// encoding/decoding, query execution, VAE sample generation, and the
-// matching kernel behind the cross-match test. Emits the uniform bench
-// records (name, shape, ns/op, GFLOP/s, threads) of bench_common.h:
+// Microbenchmarks of the hot substrate paths: gemm, RNG, the generation
+// window's prior and Bernoulli draws, tuple encoding/decoding, query
+// execution, VAE sample generation, and the matching kernel behind the
+// cross-match test. Emits the uniform bench records (name, shape, ns/op,
+// GFLOP/s, threads) of bench_common.h:
 //
 //   ./bench_micro [--json] [--quick] [--threads N]
 //
@@ -56,6 +57,33 @@ int main(int argc, char** argv) {
         budget);
     if (acc == 0.125) std::printf(" ");  // keep the accumulator live
     reporter.Add({"rng_gaussian", "n=1024", ns / 1024.0, 0.0, 1});
+  }
+
+  // The generation window's two random-draw stages at its shape: a
+  // 512-candidate prior over 23 latent dimensions, and Bernoulli bits over
+  // 512 x 47 decoder logits.
+  {
+    util::Rng rng(12);
+    std::vector<float> z(512 * 23);
+    const double ns = bench::MeasureNsPerOp(
+        [&] { nn::StandardNormalVec(rng, z.data(), z.size()); }, budget);
+    reporter.Add({"prior_draw", "n=11776",
+                  ns / static_cast<double>(z.size()), 0.0, 1});
+  }
+
+  {
+    util::Rng rng(13);
+    nn::Matrix logits(512, 47);
+    logits.RandomizeGaussian(rng, 3.0f);
+    std::vector<float> bits(logits.size());
+    const double ns = bench::MeasureNsPerOp(
+        [&] {
+          nn::SigmoidBernoulliVec(logits.data(), logits.size(), rng,
+                                  bits.data());
+        },
+        budget);
+    reporter.Add({"sigmoid_bernoulli", "n=24064",
+                  ns / static_cast<double>(logits.size()), 0.0, 1});
   }
 
   {

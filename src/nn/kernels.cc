@@ -26,7 +26,9 @@
 
 #include "nn/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -136,21 +138,45 @@ GemmKernelKind& KernelSlot() {
 
 namespace internal {
 
+namespace {
+
+inline uint32_t FloatBits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+inline float BitsToFloat(uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+/// `pick ? a : b` as a bitwise blend on the float bit patterns. GCC leaves
+/// a float select in these loops as control flow ("not vectorized: control
+/// flow in loop"); the blend vectorizes at the baseline ISA and returns
+/// exactly the selected operand, NaN payloads and signed zeros included.
+inline float Select(bool pick, float a, float b) {
+  const uint32_t mask = 0u - static_cast<uint32_t>(pick);
+  return BitsToFloat((mask & FloatBits(a)) | (~mask & FloatBits(b)));
+}
+
+}  // namespace
+
 /// expf via 2^(x * log2 e): round-to-nearest split into integer and
 /// fractional exponent (the 1.5 * 2^23 trick keeps it branch-free and
 /// vectorizable), degree-6 polynomial for the fractional part, exponent
 /// reassembled through the float bit layout. Pure float arithmetic — the
 /// result is a deterministic function of the input on every machine that
-/// rounds to nearest. Max relative error ~1e-7 over the clamped range.
-/// (kernels_simd.cc evaluates the same polynomial with vector intrinsics.)
+/// rounds to nearest. Max relative error ~1e-7 over the clamped range. The
+/// clamps are Selects, so a NaN input stays NaN. (kernels_simd.cc
+/// evaluates the same polynomial with vector intrinsics.)
 inline float FastExp(float x) {
   float z = x * 1.44269504088896341f;  // log2(e)
-  z = z < -126.0f ? -126.0f : z;
-  z = z > 126.0f ? 126.0f : z;
+  z = Select(z < -126.0f, -126.0f, z);
+  z = Select(z > 126.0f, 126.0f, z);
   const float shifted = z + 12582912.0f;  // 1.5 * 2^23
-  int32_t ibits;
-  std::memcpy(&ibits, &shifted, sizeof(ibits));
-  const int32_t n = ibits - 0x4B400000;
+  const int32_t n = static_cast<int32_t>(FloatBits(shifted)) - 0x4B400000;
   const float f = z - (shifted - 12582912.0f);  // f in [-0.5, 0.5]
   const float u = f * 0.693147180559945286f;    // ln 2
   float p = 1.0f / 720.0f;
@@ -160,20 +186,76 @@ inline float FastExp(float x) {
   p = p * u + 0.5f;
   p = p * u + 1.0f;
   p = p * u + 1.0f;
-  const int32_t sbits = (n + 127) << 23;
-  float scale;
-  std::memcpy(&scale, &sbits, sizeof(scale));
-  return p * scale;
+  return p * BitsToFloat(static_cast<uint32_t>(n + 127) << 23);
 }
 
 float Softplus(float x) {
-  const float e = FastExp(x < 0.0f ? x : -x);  // exp(-|x|)
+  const bool negative = x < 0.0f;
+  const float e = FastExp(Select(negative, x, -x));  // exp(-|x|)
   const float s = e / (2.0f + e);
   float p = 1.0f / 11.0f;
   for (float c : {1.0f / 9.0f, 1.0f / 7.0f, 1.0f / 5.0f, 1.0f / 3.0f, 1.0f}) {
     p = p * (s * s) + c;
   }
-  return (x < 0.0f ? 0.0f : x) + 2.0f * s * p;
+  return Select(negative, 0.0f, x) + 2.0f * s * p;
+}
+
+/// One Box–Muller pair from one 64-bit word: u1 = (bits 40..63 + 1) / 2^24
+/// in (0, 1] and u2 = bits 16..39 / 2^24 in [0, 1) give
+/// (r cos θ, r sin θ) with r = sqrt(-2 ln u1) and θ = 2π u2.
+///  * ln u1: u1 = m 2^e with m in [sqrt(1/2), sqrt(2)) (the exponent split
+///    of musl's logf), and ln m = 2 atanh(s) with s = (m - 1) / (m + 1),
+///    |s| < 0.172, summed as the odd series through s^9 / 9.
+///  * θ: the quadrant q = round(4 u2) and the remainder in turns come from
+///    the 24-bit integer exactly, so the polynomials only see |a| <= π/4:
+///    sin through a^9 / 9!, cos through a^10 / 10!. The quadrant then
+///    swaps and negates them with bit masks.
+/// |error| < 1e-6 against the double formula on the same uniforms; |z| <=
+/// sqrt(48 ln 2) = 5.77.
+inline void BoxMullerPair(uint64_t x, float* cos_out, float* sin_out) {
+  const int32_t k1 = static_cast<int32_t>(x >> 40) + 1;  // [1, 2^24]
+  const int32_t k2 = static_cast<int32_t>((x >> 16) & 0xFFFFFFu);
+  const float u1 = static_cast<float>(k1) * 0x1.0p-24f;
+  const uint32_t ix = FloatBits(u1) - 0x3F3504F3u;  // bits of sqrt(1/2)
+  const int32_t e = static_cast<int32_t>(ix) >> 23;
+  const float f = BitsToFloat((ix & 0x007FFFFFu) + 0x3F3504F3u) - 1.0f;
+  const float s = f / (2.0f + f);
+  const float s2 = s * s;
+  float p = 1.0f / 9.0f;
+  p = p * s2 + 1.0f / 7.0f;
+  p = p * s2 + 1.0f / 5.0f;
+  p = p * s2 + 1.0f / 3.0f;
+  p = p * s2 + 1.0f;
+  const float ln_u1 =
+      static_cast<float>(e) * 0.693147180559945286f + 2.0f * s * p;
+  const float r = std::sqrt(-2.0f * ln_u1);
+
+  const int32_t q = (k2 + (1 << 21)) >> 22;  // nearest quarter turn, 0..4
+  const float a = static_cast<float>(k2 - (q << 22)) *
+                  (6.28318530717958648f * 0x1.0p-24f);  // [-π/4, π/4)
+  const float a2 = a * a;
+  float sp = 1.0f / 362880.0f;
+  sp = sp * a2 - 1.0f / 5040.0f;
+  sp = sp * a2 + 1.0f / 120.0f;
+  sp = sp * a2 - 1.0f / 6.0f;
+  const float sin_a = a + a * a2 * sp;
+  float cp = -1.0f / 3628800.0f;
+  cp = cp * a2 + 1.0f / 40320.0f;
+  cp = cp * a2 - 1.0f / 720.0f;
+  cp = cp * a2 + 1.0f / 24.0f;
+  cp = cp * a2 - 0.5f;
+  const float cos_a = 1.0f + a2 * cp;
+  // cos(qπ/2 + a), sin(qπ/2 + a): odd q swaps the pair; cos is negated for
+  // q in {1, 2}, sin for q in {2, 3}.
+  const uint32_t swap = 0u - static_cast<uint32_t>(q & 1);
+  const uint32_t cos_bits =
+      (swap & FloatBits(sin_a)) | (~swap & FloatBits(cos_a));
+  const uint32_t sin_bits =
+      (swap & FloatBits(cos_a)) | (~swap & FloatBits(sin_a));
+  const uint32_t cos_sign = static_cast<uint32_t>((q + 1) & 2) << 30;
+  const uint32_t sin_sign = static_cast<uint32_t>(q & 2) << 30;
+  *cos_out = r * BitsToFloat(cos_bits ^ cos_sign);
+  *sin_out = r * BitsToFloat(sin_bits ^ sin_sign);
 }
 
 namespace {
@@ -479,9 +561,47 @@ void SigmoidBernoulliVec(const float* logits, size_t n, util::Rng& rng,
   if (probs.size() < n) probs.resize(n);
   SigmoidVec(logits, probs.data(), n);
   // The RNG is a serial stream by contract: one Bernoulli draw per element
-  // in index order, exactly like the scalar loop this replaces.
+  // in index order, exactly like the scalar loop this replaces. The draw is
+  // a mask, not a select: GCC compiles `u < p ? 1.0f : 0.0f` to a branch,
+  // which mispredicts on random draws. A NaN probability compares false and
+  // gives 0.
   for (size_t i = 0; i < n; ++i) {
-    bits[i] = rng.Bernoulli(probs[i]) ? 1.0f : 0.0f;
+    const bool one = rng.NextDouble() < static_cast<double>(probs[i]);
+    const uint32_t mask = 0u - static_cast<uint32_t>(one);
+    bits[i] = internal::BitsToFloat(mask & 0x3F800000u);  // 1.0f or +0.0f
+  }
+}
+
+namespace internal {
+
+void StandardNormalFromWords(const uint64_t* words, float* out, size_t n) {
+  const size_t pairs = n / 2;
+  const uint64_t* __restrict__ w = words;
+  float* __restrict__ o = out;
+  // No libm call and no branch, so GCC vectorizes the loop at the baseline
+  // ISA (-fno-math-errno lets std::sqrt become one instruction).
+#pragma GCC ivdep
+  for (size_t i = 0; i < pairs; ++i) {
+    BoxMullerPair(w[i], &o[2 * i], &o[2 * i + 1]);
+  }
+  if (n % 2 != 0) {
+    float sine;  // the last draw's sine is dropped
+    BoxMullerPair(w[pairs], &o[n - 1], &sine);
+  }
+}
+
+}  // namespace internal
+
+void StandardNormalVec(util::Rng& rng, float* out, size_t n) {
+  // Draw first, then transform: the fill loop keeps the xoshiro state in
+  // registers, and the transform loop is free of the serial dependency.
+  constexpr size_t kBlockPairs = 512;
+  uint64_t words[kBlockPairs];
+  for (size_t done = 0; done < n; done += 2 * kBlockPairs) {
+    const size_t count = std::min(n - done, 2 * kBlockPairs);
+    const size_t draws = (count + 1) / 2;
+    for (size_t i = 0; i < draws; ++i) words[i] = rng.NextUint64();
+    internal::StandardNormalFromWords(words, out + done, count);
   }
 }
 

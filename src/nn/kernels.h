@@ -94,11 +94,22 @@ void SoftplusVec(const float* x, float* out, size_t n);
 
 /// bits[i] = Bernoulli(sigmoid(logits[i])) as 0.0f/1.0f. The sigmoid pass
 /// is vectorized (SigmoidVec); the Bernoulli draws consume exactly one
-/// rng.Bernoulli(p) per element in index order, matching the scalar loop's
-/// RNG stream consumption. Replaces the per-element exp+draw loop on the
-/// sampling hot path.
+/// rng.NextDouble() per element in index order and give the same bits as
+/// `rng.Bernoulli(p) ? 1.0f : 0.0f`, without its branch. A NaN or -inf
+/// logit gives 0 and +inf gives 1. Replaces the per-element exp+draw loop
+/// on the sampling hot path.
 void SigmoidBernoulliVec(const float* logits, size_t n, util::Rng& rng,
                          float* bits);
+
+/// out[0:n] ~ N(0, 1) by a float Box–Muller that takes one
+/// rng.NextUint64() per pair of outputs (ceil(n/2) words; for odd n the
+/// last word's sine is dropped). Two 24-bit uniforms come from each word,
+/// so |z| <= sqrt(48 ln 2) = 5.77, which cuts about 8e-9 of the mass per
+/// value. One portable implementation, auto-vectorized at the baseline ISA:
+/// the values depend only on the rng state, never on the kernel kind or
+/// the CPU. A different stream from rng.NextGaussian(), which takes two
+/// NextDouble() per pair.
+void StandardNormalVec(util::Rng& rng, float* out, size_t n);
 
 }  // namespace deepaqp::nn
 

@@ -16,6 +16,7 @@
 // home TU and one ISA.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "nn/kernels.h"
 
@@ -83,6 +84,11 @@ void ApplyEpilogueRow(const Epilogue& e, float* row, size_t n);
 void BlockedGemmDriver(const View& a, const View& b, size_t m, size_t k,
                        size_t n, float alpha, bool overwrite,
                        const Epilogue* epi, float* c, size_t ldc);
+
+/// StandardNormalVec's transform: out[0:n] from words[0:ceil(n/2)], the
+/// pair of word i in out[2i] (cosine) and out[2i + 1] (sine). Exposed so
+/// tests can feed chosen words.
+void StandardNormalFromWords(const uint64_t* words, float* out, size_t n);
 
 // --- SIMD backend (kernels_simd.cc) ----------------------------------------
 

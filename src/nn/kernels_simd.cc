@@ -344,12 +344,14 @@ inline float ScalarFastExp(float x) {
 #if defined(DEEPAQP_SIMD_ISA_AVX2)
 
 /// Eight-lane FastExp: the same 2^(x * log2 e) split + degree-6 polynomial,
-/// with the Horner steps contracted by FMA.
+/// with the Horner steps contracted by FMA. max_ps and min_ps return their
+/// second operand when either is NaN, so z goes second: a NaN input stays
+/// NaN, as in the scalar FastExp.
 inline __m256 FastExpAvx2(__m256 x) {
   const __m256 log2e = _mm256_set1_ps(1.44269504088896341f);
   __m256 z = _mm256_mul_ps(x, log2e);
-  z = _mm256_max_ps(z, _mm256_set1_ps(-126.0f));
-  z = _mm256_min_ps(z, _mm256_set1_ps(126.0f));
+  z = _mm256_max_ps(_mm256_set1_ps(-126.0f), z);
+  z = _mm256_min_ps(_mm256_set1_ps(126.0f), z);
   const __m256 magic = _mm256_set1_ps(12582912.0f);  // 1.5 * 2^23
   const __m256 shifted = _mm256_add_ps(z, magic);
   const __m256i nexp = _mm256_sub_epi32(_mm256_castps_si256(shifted),
@@ -405,7 +407,7 @@ void SimdSoftplus(const float* x, float* out, size_t n) {
       p = _mm256_fmadd_ps(p, s2, _mm256_set1_ps(c));
     }
     // max_ps returns its second operand when either is NaN, so x goes
-    // second: a NaN input stays NaN (FastExpAvx2 clamps NaN to finite).
+    // second: a NaN input stays NaN.
     const __m256 relu = _mm256_max_ps(zero, v);
     _mm256_storeu_ps(out + i,
                      _mm256_fmadd_ps(_mm256_add_ps(s, s), p, relu));

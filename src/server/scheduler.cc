@@ -32,22 +32,19 @@ util::Status RequestScheduler::PostImpl(uint64_t key,
   bool start_runner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Strand& strand = strands_[key];
+    const auto [it, inserted] = strands_.try_emplace(key);
+    std::deque<std::function<void()>>& queue = it->second;
     if (bounded && max_queue_per_strand_ != 0 &&
-        strand.queue.size() >= max_queue_per_strand_) {
+        queue.size() >= max_queue_per_strand_) {
       return util::Status::Unavailable(
           "SERVER_BUSY: session " + std::to_string(key) + " has " +
-          std::to_string(strand.queue.size()) +
-          " queued requests (bound " +
+          std::to_string(queue.size()) + " queued requests (bound " +
           std::to_string(max_queue_per_strand_) + "); retry with backoff");
     }
-    strand.queue.push_back(std::move(task));
+    queue.push_back(std::move(task));
     ++pending_;
-    if (!strand.running) {
-      strand.running = true;
-      ++runners_;
-      start_runner = true;
-    }
+    // A new entry is an idle strand: start its runner.
+    start_runner = inserted;
   }
   if (start_runner) {
     pool_->Submit([this, key] { RunStrand(key); });
@@ -60,21 +57,23 @@ void RequestScheduler::RunStrand(uint64_t key) {
     std::function<void()> task;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Strand& strand = strands_[key];
-      if (strand.queue.empty()) {
-        strand.running = false;
-        if (--runners_ == 0 && pending_ == 0) idle_cv_.notify_all();
+      const auto it = strands_.find(key);
+      if (it->second.empty()) {
+        // The runner exits and its strand's entry goes with it, so a
+        // closed session leaves nothing behind.
+        strands_.erase(it);
+        if (strands_.empty() && pending_ == 0) idle_cv_.notify_all();
         return;
       }
-      task = std::move(strand.queue.front());
-      strand.queue.pop_front();
+      task = std::move(it->second.front());
+      it->second.pop_front();
     }
     task();
     bool more = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       --pending_;
-      more = !strands_[key].queue.empty();
+      more = !strands_.at(key).empty();
     }
     // One task per turn while other work waits for a lane: the strand goes
     // to the back of the pool queue, so a busy strand delays another
@@ -90,12 +89,17 @@ void RequestScheduler::RunStrand(uint64_t key) {
 
 void RequestScheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0 && runners_ == 0; });
+  idle_cv_.wait(lock, [this] { return pending_ == 0 && strands_.empty(); });
 }
 
 size_t RequestScheduler::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_;
+}
+
+size_t RequestScheduler::strands() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return strands_.size();
 }
 
 }  // namespace deepaqp::server

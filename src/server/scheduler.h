@@ -22,12 +22,13 @@ namespace deepaqp::server {
 /// A strand never occupies a pool thread while idle, nor for more than one
 /// task while other work waits for a lane: after each task the runner
 /// re-submits itself at the tail of the pool queue if its strand has more
-/// work and the pool has queued tasks, and exits when its queue is empty
-/// (the next Post re-submits). So a strand with a long chain of tasks (a
-/// refining stream) delays another strand's task by at most one task. With
-/// no queued work (always so on a pool without workers, whose Submit runs
-/// inline) the runner keeps draining its queue. Tasks must not block on
-/// other strands' work (the underlying pool requirement).
+/// work and the pool has queued tasks, and exits when its queue is empty,
+/// dropping the strand's entry (the next Post recreates and re-submits
+/// it). So a strand with a long chain of tasks (a refining stream) delays
+/// another strand's task by at most one task. With no queued work (always
+/// so on a pool without workers, whose Submit runs inline) the runner keeps
+/// draining its queue. Tasks must not block on other strands' work (the
+/// underlying pool requirement).
 class RequestScheduler {
  public:
   /// Uses `pool` for execution; with nullptr the process-global pool is
@@ -63,12 +64,12 @@ class RequestScheduler {
   /// Tasks currently queued or running (observability).
   size_t pending() const;
 
- private:
-  struct Strand {
-    std::deque<std::function<void()>> queue;
-    bool running = false;
-  };
+  /// Strands with a runner on the pool (observability). An idle strand
+  /// holds no entry, so this is 0 after WaitIdle when nothing was posted
+  /// since: a closed session leaves nothing behind.
+  size_t strands() const;
 
+ private:
   void RunStrand(uint64_t key);
   util::Status PostImpl(uint64_t key, std::function<void()> task,
                         bool bounded);
@@ -77,13 +78,14 @@ class RequestScheduler {
   size_t max_queue_per_strand_;
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
-  std::map<uint64_t, Strand> strands_;
+  /// Each strand's queued tasks. A key has an entry exactly while its
+  /// runner is on the pool: Post inserts it and starts the runner, and the
+  /// runner erases it on the way out when its queue is empty. WaitIdle
+  /// waits for the map to empty too, since a runner that just drained its
+  /// queue still touches this object, so "no pending tasks" alone would let
+  /// the destructor free state under a live runner.
+  std::map<uint64_t, std::deque<std::function<void()>>> strands_;
   size_t pending_ = 0;
-  /// Strand runner tasks currently on the pool. WaitIdle waits for these
-  /// too: a runner that just drained its queue still touches this object on
-  /// its way out, so "no pending tasks" alone would let the destructor
-  /// free state under a live runner.
-  size_t runners_ = 0;
 };
 
 }  // namespace deepaqp::server

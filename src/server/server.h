@@ -108,6 +108,7 @@ class AqpServer {
   /// pair with scheduler_pending()==0 for a quiescence check).
   size_t ActiveStreams() const;
   size_t scheduler_pending() const { return scheduler_.pending(); }
+  size_t scheduler_strands() const { return scheduler_.strands(); }
 
   /// Blocks until no session has scheduled work. Quiescence, not
   /// completion: a stream stalled on missing acks is idle, not busy.

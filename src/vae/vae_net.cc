@@ -49,16 +49,40 @@ void VaeNet::EncodeConstInto(const Matrix& x, Posterior* post,
                              nn::ScratchArena* arena) const {
   Matrix h = arena->Acquire();
   nn::InferenceForwardInto(*encoder_trunk_, x, &h, arena);
-  nn::FusedLinearForward(h, mu_head_->weight.value, mu_head_->bias.value,
-                         nn::Activation::kIdentity, 0.0f, &post->mu);
-  nn::FusedLinearForward(h, logvar_head_->weight.value,
-                         logvar_head_->bias.value, nn::Activation::kIdentity,
-                         0.0f, &post->logvar);
-  arena->Release(std::move(h));
-  for (size_t i = 0; i < post->logvar.size(); ++i) {
-    post->logvar.data()[i] =
-        std::clamp(post->logvar.data()[i], -8.0f, 8.0f);
+  // Both heads as one GEMM over [W_mu | W_logvar] and [b_mu | b_logvar].
+  // Every output column is its own dot product, accumulated in ascending k
+  // under either kernel, so the halves are bit-identical to the two
+  // separate head GEMMs. The concatenation is rebuilt per call in arena
+  // buffers: the net is const and shared by concurrent chunks.
+  const Matrix& w_mu = mu_head_->weight.value;
+  const Matrix& w_logvar = logvar_head_->weight.value;
+  const size_t latent = w_mu.cols();
+  Matrix w = arena->Acquire();
+  Matrix b = arena->Acquire();
+  w.Resize(w_mu.rows(), 2 * latent);
+  b.Resize(1, 2 * latent);
+  for (size_t r = 0; r < w_mu.rows(); ++r) {
+    std::copy_n(w_mu.Row(r), latent, w.Row(r));
+    std::copy_n(w_logvar.Row(r), latent, w.Row(r) + latent);
   }
+  std::copy_n(mu_head_->bias.value.data(), latent, b.data());
+  std::copy_n(logvar_head_->bias.value.data(), latent, b.data() + latent);
+  Matrix both = arena->Acquire();
+  nn::FusedLinearForward(h, w, b, nn::Activation::kIdentity, 0.0f, &both);
+  post->mu.Resize(both.rows(), latent);
+  post->logvar.Resize(both.rows(), latent);
+  for (size_t r = 0; r < both.rows(); ++r) {
+    const float* row = both.Row(r);
+    std::copy_n(row, latent, post->mu.Row(r));
+    float* logvar = post->logvar.Row(r);
+    for (size_t c = 0; c < latent; ++c) {
+      logvar[c] = std::clamp(row[latent + c], -8.0f, 8.0f);
+    }
+  }
+  arena->Release(std::move(both));
+  arena->Release(std::move(b));
+  arena->Release(std::move(w));
+  arena->Release(std::move(h));
 }
 
 Matrix VaeNet::DecodeLogits(const Matrix& z) { return decoder_->Forward(z); }
@@ -97,9 +121,7 @@ Matrix VaeNet::SamplePrior(size_t n, util::Rng& rng) const {
 
 void VaeNet::SamplePriorInto(size_t n, util::Rng& rng, Matrix* z) const {
   z->Resize(n, options_.latent_dim);
-  for (size_t i = 0; i < z->size(); ++i) {
-    z->data()[i] = static_cast<float>(rng.NextGaussian());
-  }
+  nn::StandardNormalVec(rng, z->data(), z->size());
 }
 
 Matrix VaeNet::LogJointRows(const Matrix& x_bits, const Matrix& z) {

@@ -78,7 +78,8 @@ class VaeNet {
   /// Allocation-free EncodeConst: posterior matrices and every intermediate
   /// come from caller-owned storage (`post` is resized; scratch is drawn
   /// from `arena`). Bit-identical to EncodeConst; lets generation loops
-  /// reuse one Posterior across batches.
+  /// reuse one Posterior across batches. The mu and logvar heads run as
+  /// one GEMM, bit-identical to two.
   void EncodeConstInto(const nn::Matrix& x, Posterior* post,
                        nn::ScratchArena* arena) const;
 
@@ -146,7 +147,9 @@ class VaeNet {
                                          const nn::Matrix& z,
                                          nn::Matrix* out);
 
-  /// Draws z ~ N(0, I) (the generative prior).
+  /// Draws z ~ N(0, I) (the generative prior) by nn::StandardNormalVec:
+  /// one rng word per pair of entries. Training's eps draws keep
+  /// rng.NextGaussian() (DESIGN.md Sec. 18).
   nn::Matrix SamplePrior(size_t n, util::Rng& rng) const;
 
   /// SamplePrior into a reused buffer; consumes the same RNG stream.

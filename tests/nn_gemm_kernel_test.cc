@@ -6,9 +6,15 @@
 //    kernel, and within tolerance of the reference;
 //  * fused bias+activation forwards equal to the unfused pipeline exactly;
 //  * the vectorized sigmoid within 1e-5 of the std::exp form, with the
-//    Bernoulli fusion consuming the same RNG stream;
+//    Bernoulli fusion consuming the same RNG stream and giving the same
+//    bits as rng.Bernoulli, edge logits included;
 //  * the vectorized softplus within 5e-7 of the double form on every
 //    kernel the CPU has, NaN and infinities included;
+//  * the portable sigmoid and softplus loops bit-identical to their scalar
+//    select formulas across a sweep of float bit patterns;
+//  * the float Box–Muller prior: one rng word per pair, within 4e-6 of the
+//    double formula on the same uniforms, and N(0, 1) by mean, variance
+//    and a Kolmogorov–Smirnov test;
 //  * SetGemmKernel switches the kernel that Gemm dispatches to.
 
 #include "nn/kernels.h"
@@ -16,11 +22,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include "nn/arena.h"
+#include "nn/kernels_internal.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "util/rng.h"
@@ -276,26 +287,128 @@ TEST(SigmoidKernelTest, VectorizedSigmoidWithinTolerance) {
   }
 }
 
-TEST(SigmoidKernelTest, BernoulliFusionConsumesSameRngStream) {
-  ScopedKernel blocked(GemmKernelKind::kBlocked);
-  util::Rng rng_a(31337);
-  util::Rng rng_b(31337);
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+float FromBits(uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+/// Seeded normal logits, then the edges, twice (so a vector body and a
+/// scalar tail both see them): p = 1 (large logits), the smallest p the
+/// clamped exp allows (2^-126, for large negative logits), logits whose
+/// exact sigmoid would be denormal, signed zeros, NaN and both infinities.
+std::vector<float> BernoulliTestLogits(size_t normal_count) {
   std::vector<float> logits;
   util::Rng gen(4);
-  for (size_t i = 0; i < 1000; ++i) {
+  for (size_t i = 0; i < normal_count; ++i) {
     logits.push_back(static_cast<float>(gen.NextGaussian() * 3.0));
   }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float edges[] = {0.0f,   -0.0f,  17.0f,    40.0f,   1e30f,
+                         FLT_MAX, -40.0f, -88.0f,   -90.0f,  -95.0f,
+                         -100.0f, -103.0f, -1e30f, -FLT_MAX, std::nanf(""),
+                         inf,     -inf};
+  for (int copy = 0; copy < 2; ++copy) {
+    for (float v : edges) logits.push_back(v);
+    logits.push_back(0.5f);  // odd spacing between the two copies
+  }
+  return logits;
+}
+
+/// SigmoidBernoulliVec against the scalar draw on the active kernel's
+/// probabilities: the same bits (+0.0f or 1.0f) and the same rng position
+/// afterwards; NaN and -inf logits give 0, +inf gives 1.
+void ExpectBernoulliMatchesScalarDraws(const std::vector<float>& logits) {
+  util::Rng rng_a(31337);
+  util::Rng rng_b(31337);
   std::vector<float> fused(logits.size());
   SigmoidBernoulliVec(logits.data(), logits.size(), rng_a, fused.data());
-  // Scalar form using the vectorized probabilities: identical decisions and
-  // identical stream position afterwards.
   std::vector<float> probs(logits.size());
   SigmoidVec(logits.data(), probs.data(), logits.size());
   for (size_t i = 0; i < logits.size(); ++i) {
     const float want = rng_b.Bernoulli(probs[i]) ? 1.0f : 0.0f;
-    EXPECT_EQ(fused[i], want) << "i=" << i;
+    EXPECT_EQ(Bits(fused[i]), Bits(want)) << "i=" << i << " x=" << logits[i];
+    if (std::isnan(logits[i]) ||
+        logits[i] == -std::numeric_limits<float>::infinity()) {
+      EXPECT_EQ(Bits(fused[i]), Bits(0.0f)) << "x=" << logits[i];
+    }
+    if (probs[i] == 1.0f) {
+      EXPECT_EQ(fused[i], 1.0f) << "x=" << logits[i];
+    }
   }
   EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
+}
+
+TEST(SigmoidKernelTest, BernoulliFusionConsumesSameRngStream) {
+  ScopedKernel blocked(GemmKernelKind::kBlocked);
+  ExpectBernoulliMatchesScalarDraws(BernoulliTestLogits(1000));
+}
+
+/// The scalar formulas the portable loops had before they became bitwise
+/// selects: FastExp with ternary clamps, and Softplus over it.
+float SelectFormExp(float x) {
+  float z = x * 1.44269504088896341f;
+  z = z < -126.0f ? -126.0f : z;
+  z = z > 126.0f ? 126.0f : z;
+  const float shifted = z + 12582912.0f;
+  const int32_t n = static_cast<int32_t>(Bits(shifted)) - 0x4B400000;
+  const float f = z - (shifted - 12582912.0f);
+  const float u = f * 0.693147180559945286f;
+  float p = 1.0f / 720.0f;
+  p = p * u + 1.0f / 120.0f;
+  p = p * u + 1.0f / 24.0f;
+  p = p * u + 1.0f / 6.0f;
+  p = p * u + 0.5f;
+  p = p * u + 1.0f;
+  p = p * u + 1.0f;
+  return p * FromBits(static_cast<uint32_t>(n + 127) << 23);
+}
+
+float SelectFormSoftplus(float x) {
+  const float e = SelectFormExp(x < 0.0f ? x : -x);
+  const float s = e / (2.0f + e);
+  float p = 1.0f / 11.0f;
+  for (float c : {1.0f / 9.0f, 1.0f / 7.0f, 1.0f / 5.0f, 1.0f / 3.0f, 1.0f}) {
+    p = p * (s * s) + c;
+  }
+  return (x < 0.0f ? 0.0f : x) + 2.0f * s * p;
+}
+
+TEST(SigmoidKernelTest, PortableLoopsBitIdenticalToScalarSelectForms) {
+  // Every 997th float bit pattern (both signs, denormals, infinities and
+  // NaNs among them) plus the specials, through the vectorized blocked
+  // loops: each result must carry the scalar formula's exact bits. A NaN
+  // result only has to be a NaN: which operand's payload a two-NaN multiply
+  // keeps depends on the operand order the compiler picked.
+  ScopedKernel blocked(GemmKernelKind::kBlocked);
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x = {0.0f, -0.0f, inf, -inf, std::nanf(""),
+                          FLT_MIN, -FLT_MIN, FLT_MAX, -FLT_MAX};
+  for (uint64_t b = 0; b <= 0xFFFFFFFFull; b += 997) {
+    x.push_back(FromBits(static_cast<uint32_t>(b)));
+  }
+  std::vector<float> sigmoid(x.size());
+  std::vector<float> softplus(x.size());
+  SigmoidVec(x.data(), sigmoid.data(), x.size());
+  SoftplusVec(x.data(), softplus.data(), x.size());
+  size_t sigmoid_mismatches = 0;
+  size_t softplus_mismatches = 0;
+  const auto same = [](float got, float want) {
+    return Bits(got) == Bits(want) || (std::isnan(got) && std::isnan(want));
+  };
+  for (size_t i = 0; i < x.size(); ++i) {
+    const float want_sigmoid = 1.0f / (1.0f + SelectFormExp(-x[i]));
+    sigmoid_mismatches += !same(sigmoid[i], want_sigmoid);
+    softplus_mismatches += !same(softplus[i], SelectFormSoftplus(x[i]));
+  }
+  EXPECT_EQ(sigmoid_mismatches, 0u) << "of " << x.size();
+  EXPECT_EQ(softplus_mismatches, 0u) << "of " << x.size();
 }
 
 TEST(SoftplusKernelTest, WithinHalfAMillionthOfTheDoubleFormOnEveryKernel) {
@@ -328,6 +441,120 @@ TEST(SoftplusKernelTest, WithinHalfAMillionthOfTheDoubleFormOnEveryKernel) {
       EXPECT_LE(got[i + 2], 1.2e-38f);
     }
   }
+}
+
+/// The double-precision Box–Muller on the 24-bit uniforms of one word.
+void DoubleBoxMuller(uint64_t word, double* cos_out, double* sin_out) {
+  const double u1 = static_cast<double>((word >> 40) + 1) * 0x1.0p-24;
+  const double u2 = static_cast<double>((word >> 16) & 0xFFFFFF) * 0x1.0p-24;
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  *cos_out = r * std::cos(6.283185307179586 * u2);
+  *sin_out = r * std::sin(6.283185307179586 * u2);
+}
+
+TEST(StandardNormalKernelTest, TakesOneRngWordPerPairOfValues) {
+  // Odd and even n, around the fill loop's 1 024-value blocks and at a
+  // 512 x 23 window. The values are the transform of exactly the next
+  // ceil(n/2) words, and nothing past out[n - 1] is written.
+  const float sentinel = 12345.0f;
+  for (size_t n : {0u, 1u, 2u, 3u, 22u, 23u, 1023u, 1024u, 1025u, 2047u,
+                   2048u, 2049u, 11776u, 11777u}) {
+    util::Rng rng(77 + n);
+    util::Rng replay = rng;
+    std::vector<float> got(n + 1, sentinel);
+    StandardNormalVec(rng, got.data(), n);
+    std::vector<uint64_t> words((n + 1) / 2);
+    for (uint64_t& w : words) w = replay.NextUint64();
+    EXPECT_EQ(rng.NextUint64(), replay.NextUint64()) << "n=" << n;
+    std::vector<float> want(n + 1, sentinel);
+    internal::StandardNormalFromWords(words.data(), want.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0)
+        << "n=" << n;
+    EXPECT_EQ(Bits(got[n]), Bits(sentinel)) << "n=" << n;
+    if (n % 2 == 1) {
+      // The last word's cosine, its sine dropped.
+      std::vector<float> full(n + 1);
+      internal::StandardNormalFromWords(words.data(), full.data(), n + 1);
+      EXPECT_EQ(Bits(got[n - 1]), Bits(full[n - 1])) << "n=" << n;
+    }
+  }
+}
+
+TEST(StandardNormalKernelTest, WithinFourMillionthsOfTheDoubleFormula) {
+  // u1 = (bits 40..63 + 1) / 2^24 and u2 = bits 16..39 / 2^24; bits 0..15
+  // are unused. The grid takes u1 from 2^-24 to 1 (the exponent split's
+  // seam at sqrt(1/2) included) and u2 from 0 to 1 - 2^-24 (every octant
+  // seam of the quadrant reduction included); then 2^20 seeded words. The
+  // transform does not dispatch, so every kernel gives the same bits.
+  std::vector<uint64_t> words;
+  const uint64_t u1_bits[] = {0,        1,        2,        3,
+                              1u << 22, 11863282, 11863283, (1u << 23) - 1,
+                              1u << 23, (1u << 24) - 2, (1u << 24) - 1};
+  const uint64_t u2_bits[] = {0,        1,        (1u << 21) - 1, 1u << 21,
+                              (1u << 21) + 1, (1u << 22) - 1, 1u << 22,
+                              3u << 21, 1u << 23, 5u << 21, 3u << 22,
+                              7u << 21, (1u << 24) - 2, (1u << 24) - 1};
+  for (uint64_t a : u1_bits) {
+    for (uint64_t b : u2_bits) words.push_back(a << 40 | b << 16 | 0xBEEF);
+  }
+  util::Rng rng(5);
+  for (int i = 0; i < (1 << 20); ++i) words.push_back(rng.NextUint64());
+
+  std::vector<float> first;
+  for (GemmKernelKind kind : FastKernels()) {
+    SCOPED_TRACE(GemmKernelKindName(kind));
+    ScopedKernel scoped(kind);
+    std::vector<float> got(2 * words.size());
+    internal::StandardNormalFromWords(words.data(), got.data(), got.size());
+    double max_err = 0.0;
+    for (size_t i = 0; i < words.size(); ++i) {
+      double c = 0.0;
+      double s = 0.0;
+      DoubleBoxMuller(words[i], &c, &s);
+      max_err = std::max({max_err, std::abs(got[2 * i] - c),
+                          std::abs(got[2 * i + 1] - s)});
+    }
+    EXPECT_LE(max_err, 4e-6);
+    // u1 = 1 gives r = 0 exactly; u1 = 2^-24 gives the largest radius
+    // (both at u2 = 0, where the cosine is 1).
+    const size_t u1_is_one = (std::size(u1_bits) - 1) * std::size(u2_bits);
+    EXPECT_EQ(got[2 * u1_is_one], 0.0f);
+    EXPECT_NEAR(got[0], std::sqrt(48.0 * std::log(2.0)), 4e-6);
+    if (first.empty()) {
+      first = got;
+    } else {
+      EXPECT_EQ(std::memcmp(first.data(), got.data(), got.size() * 4), 0);
+    }
+  }
+}
+
+TEST(StandardNormalKernelTest, DrawsAreStandardNormal) {
+  constexpr size_t kN = 1u << 20;
+  std::vector<float> z(kN);
+  util::Rng rng(2026);
+  StandardNormalVec(rng, z.data(), kN);
+  size_t out_of_range = 0;
+  double sum = 0.0;
+  for (float v : z) {
+    out_of_range += !(std::isfinite(v) && std::abs(v) <= 5.78f);
+    sum += v;
+  }
+  EXPECT_EQ(out_of_range, 0u);
+  const double mean = sum / kN;
+  double sq = 0.0;
+  for (float v : z) sq += (v - mean) * (v - mean);
+  EXPECT_NEAR(mean, 0.0, 0.005);
+  EXPECT_NEAR(sq / kN, 1.0, 0.005);
+  // One-sample Kolmogorov–Smirnov distance to Phi, against its 1% critical
+  // value 1.628 / sqrt(n).
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (size_t i = 0; i < kN; ++i) {
+    const double phi = 0.5 * std::erfc(-z[i] / std::sqrt(2.0));
+    ks = std::max({ks, static_cast<double>(i + 1) / kN - phi,
+                   phi - static_cast<double>(i) / kN});
+  }
+  EXPECT_LT(ks, 1.628 / std::sqrt(static_cast<double>(kN)));
 }
 
 TEST(KernelDispatchTest, SetKindSwitchesImplementations) {

@@ -8,7 +8,9 @@
 //  * fused bias+activation exactly equal to the unfused pipeline under
 //    simd (both route through the one scalar epilogue definition);
 //  * the vectorized sigmoid fast path within 1e-5 of the std::exp form,
-//    with the Bernoulli fusion consuming the RNG stream identically;
+//    with the Bernoulli fusion consuming the RNG stream identically and
+//    giving rng.Bernoulli's bits, edge logits included (NaN gives 0 in the
+//    vector body as in the tail);
 //  * dispatch policy: the CPU-chosen default is simd exactly when the ISA
 //    is there, and SetGemmKernel(kSimd) CHECK-fails on hardware without it
 //    (simulated via SetCpuFeaturesForTest), never a silent fallback;
@@ -26,7 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "aqp/executor.h"
@@ -216,6 +222,12 @@ TEST(SimdBackendTest, SigmoidFastPathWithinTolerance) {
   }
 }
 
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
 TEST(SimdBackendTest, BernoulliFusionConsumesSameRngStream) {
   SKIP_WITHOUT_SIMD();
   ScopedKernel simd(GemmKernelKind::kSimd);
@@ -226,13 +238,31 @@ TEST(SimdBackendTest, BernoulliFusionConsumesSameRngStream) {
   for (size_t i = 0; i < 1001; ++i) {
     logits.push_back(static_cast<float>(gen.NextGaussian() * 3.0));
   }
+  // The edges, twice, at offsets that put them in the 8-lane body and in
+  // the scalar tail: p = 1, the clamped exp's smallest p (2^-126), logits
+  // whose exact sigmoid would be denormal, signed zeros, NaN, infinities.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float edges[] = {0.0f,   -0.0f,  17.0f,    40.0f,   1e30f,
+                         FLT_MAX, -40.0f, -88.0f,   -90.0f,  -95.0f,
+                         -100.0f, -103.0f, -1e30f, -FLT_MAX, std::nanf(""),
+                         inf,     -inf};
+  for (int copy = 0; copy < 2; ++copy) {
+    for (float v : edges) logits.push_back(v);
+    logits.push_back(0.5f);
+  }
   std::vector<float> fused(logits.size());
   SigmoidBernoulliVec(logits.data(), logits.size(), rng_a, fused.data());
   std::vector<float> probs(logits.size());
   SigmoidVec(logits.data(), probs.data(), logits.size());
   for (size_t i = 0; i < logits.size(); ++i) {
     const float want = rng_b.Bernoulli(probs[i]) ? 1.0f : 0.0f;
-    EXPECT_EQ(fused[i], want) << "i=" << i;
+    EXPECT_EQ(Bits(fused[i]), Bits(want)) << "i=" << i << " x=" << logits[i];
+    if (std::isnan(logits[i]) || logits[i] == -inf) {
+      EXPECT_EQ(Bits(fused[i]), Bits(0.0f)) << "x=" << logits[i];
+    }
+    if (probs[i] == 1.0f) {
+      EXPECT_EQ(fused[i], 1.0f) << "x=" << logits[i];
+    }
   }
   EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
 }

@@ -654,6 +654,39 @@ TEST(ServerSessionTest, GracefulShutdownNeverTruncatesAcrossThreadCounts) {
   util::SetGlobalThreads(0);  // restore hardware default
 }
 
+TEST(ServerSessionTest, ClosedSessionsLeaveNoSchedulerStrands) {
+  // Each session's work runs on its own scheduler strand. A strand whose
+  // queue drains is dropped, so opening and closing many sessions, some of
+  // them after a query, leaves the scheduler holding nothing.
+  for (int threads : {1, 4}) {
+    util::SetGlobalThreads(threads);
+    AqpServer server(ServerOptions());
+    auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+    ASSERT_TRUE(model.ok());
+    server.registry().Install("taxi", std::move(*model));
+    auto pipe = std::make_shared<PipeTransport>();
+    constexpr int kSessions = 300;
+    for (int i = 0; i < kSessions; ++i) {
+      const uint64_t session = OpenSession(server, pipe);
+      if (i % 100 == 0) {
+        StreamOutcome outcome =
+            RunQuery(server, pipe, session, DefaultQueries()[1]);
+        ASSERT_TRUE(outcome.error.ok()) << outcome.error.message();
+      }
+      ClientMessage close;
+      close.kind = ClientMessageKind::kCloseSession;
+      close.session = session;
+      server.Handle(close, pipe);
+      ASSERT_EQ(pipe->Pop().kind, ServerMessageKind::kSessionClosed);
+    }
+    server.WaitIdle();
+    EXPECT_EQ(server.num_sessions(), 0u) << "threads=" << threads;
+    EXPECT_EQ(server.scheduler_pending(), 0u) << "threads=" << threads;
+    EXPECT_EQ(server.scheduler_strands(), 0u) << "threads=" << threads;
+  }
+  util::SetGlobalThreads(0);  // restore hardware default
+}
+
 TEST(ServerSessionTest, SchedulerQueueBoundShedsWithServerBusy) {
   // A dedicated pool with a real worker thread: the pool of parallelism 1
   // runs Submit inline, which would park the gate task on this thread.
@@ -693,6 +726,7 @@ TEST(ServerSessionTest, SchedulerQueueBoundShedsWithServerBusy) {
   release.set_value();
   scheduler.WaitIdle();
   EXPECT_EQ(ran.load(), 5);  // everything accepted ran; the shed task never did
+  EXPECT_EQ(scheduler.strands(), 0u);
 }
 
 TEST(ServerSessionTest, BusyStrandYieldsToAnotherStrandAfterEachTask) {
@@ -745,6 +779,7 @@ TEST(ServerSessionTest, SerialPoolDrainsLongSelfPostingStrandWithoutRecursion) {
   scheduler.WaitIdle();
   EXPECT_EQ(ran, kTasks);
   EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_EQ(scheduler.strands(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/arena.h"
+#include "nn/kernels.h"
 
 namespace deepaqp::vae {
 namespace {
@@ -131,6 +132,54 @@ TEST(VaeNetTest, LogRatioFromLogitsMatchesEveryLogRatioForm) {
   EXPECT_EQ(std::memcmp(from_logits.data(), want.data(),
                         want.size() * sizeof(float)),
             0);
+}
+
+TEST(VaeNetTest, FusedPosteriorHeadsBitIdenticalToTwoHeadGemms) {
+  // EncodeConstInto runs the mu and logvar heads as one GEMM over the
+  // concatenated weights; Encode, the training path, runs each head's own
+  // Linear::Forward, the two-GEMM form. Every kernel, latent widths on
+  // both sides of the 8-wide panel, nonzero biases and logvars past the
+  // +-8 clamp.
+  std::vector<nn::GemmKernelKind> kinds = {nn::GemmKernelKind::kBlocked};
+  if (nn::SimdKernelAvailable()) kinds.push_back(nn::GemmKernelKind::kSimd);
+  const nn::GemmKernelKind active = nn::ActiveGemmKernel();
+  for (size_t latent : {1u, 7u, 8u, 23u, 33u}) {
+    VaeNetOptions opts;
+    opts.input_dim = 29;
+    opts.latent_dim = latent;
+    opts.hidden_dim = 64;
+    opts.seed = 11 + latent;
+    VaeNet net(opts);
+    util::Rng rng(latent);
+    for (nn::Parameter* p : net.Parameters()) {
+      p->value.RandomizeGaussian(rng, 0.5f);
+    }
+    Matrix x(300, opts.input_dim);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = rng.Bernoulli(0.4) ? 1.0f : 0.0f;
+    }
+    for (nn::GemmKernelKind kind : kinds) {
+      nn::SetGemmKernel(kind);
+      const VaeNet::Posterior want = net.Encode(x);
+      nn::ScratchArena arena;
+      for (int pass = 0; pass < 2; ++pass) {  // the second reuses the arena
+        VaeNet::Posterior got;
+        net.EncodeConstInto(x, &got, &arena);
+        ASSERT_EQ(got.mu.rows(), want.mu.rows());
+        ASSERT_EQ(got.mu.cols(), latent);
+        ASSERT_EQ(got.logvar.cols(), latent);
+        EXPECT_EQ(std::memcmp(got.mu.data(), want.mu.data(),
+                              want.mu.size() * sizeof(float)),
+                  0)
+            << "latent=" << latent << " " << nn::GemmKernelKindName(kind);
+        EXPECT_EQ(std::memcmp(got.logvar.data(), want.logvar.data(),
+                              want.logvar.size() * sizeof(float)),
+                  0)
+            << "latent=" << latent << " " << nn::GemmKernelKindName(kind);
+      }
+    }
+  }
+  nn::SetGemmKernel(active);
 }
 
 TEST(VaeNetTest, VrsTrainStepTracksAcceptance) {
