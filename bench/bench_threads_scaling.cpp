@@ -6,32 +6,24 @@
 // count — the speedup column isolates pure scheduling/scaling behavior.
 // Target (multi-core hardware): >= 2.5x sampling throughput at 4 threads.
 //
-// Two placement sections ride on top of the classic sweep:
-//  * pinned-vs-unpinned: the sampling phase re-runs at --max_threads under
-//    each pin policy (off/compact/scatter) and cross-checks that the
-//    generated tables are bit-identical — placement may only move work,
-//    never change it. On a single-node machine the pinned rows should land
-//    within noise of the unpinned row.
-//  * local-vs-remote: on multi-node machines, a buffer is first-touched
-//    from a node-0 CPU and then summed from node 0 (local) and node 1
-//    (remote), isolating the NUMA penalty the sharded paths avoid. Skipped
-//    with a note when the topology has one node.
+// A pinned-vs-unpinned section rides on top of the classic sweep: the
+// sampling phase re-runs at --max_threads under each pin policy
+// (off/compact) and cross-checks that the generated tables are
+// bit-identical — placement may only move work, never change it.
 //
 // With --json the rows are also written to BENCH_threads.json (name =
-// train/sample/crossmatch/placement, shape = "threads=N pin=P", sampling
-// rows carry samples_per_sec) so CI can pool them with the other perf
-// artifacts.
+// train/sample/crossmatch, shape = "threads=N pin=P", sampling rows carry
+// samples_per_sec) so CI can pool them with the other perf artifacts.
 //
 //   ./bench_threads_scaling [--rows 20000] [--epochs 4] [--samples 60000]
 //                           [--points 600] [--max_threads 8]
-//                           [--pin off|compact|scatter] [--json]
+//                           [--pin off|compact] [--json]
 
 #include "bench_common.h"
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "stats/cross_match.h"
@@ -97,66 +89,6 @@ uint64_t TableChecksum(const relation::Table& table) {
   return h;
 }
 
-// Local-vs-remote memory placement: first-touch a buffer from a node-0 CPU,
-// then time sequential sum sweeps from node 0 (local) and node 1 (remote).
-// The ratio is the raw NUMA penalty that node-sharded execution avoids.
-void MeasurePlacement(bench::BenchReporter& reporter) {
-  const util::CpuTopology& topo = util::Topology();
-  if (!topo.multi_node()) {
-    std::printf(
-        "placement: single NUMA node — skipping local-vs-remote rows\n");
-    return;
-  }
-  const std::vector<int> saved_cpus = util::AllowedCpus();
-  const int local_cpu = topo.nodes[0].cpus.front();
-  const int remote_cpu = topo.nodes[1].cpus.front();
-  if (!util::PinCurrentThread(local_cpu)) {
-    std::printf("placement: pinning unavailable — skipping rows\n");
-    return;
-  }
-
-  constexpr size_t kDoubles = size_t{8} << 20;  // 64 MiB, beyond any LLC
-  std::vector<double> buffer(kDoubles, 1.0);    // first touch on node 0
-
-  double sink = 0.0;
-  auto sweep_seconds = [&buffer, &sink]() {
-    constexpr int kPasses = 8;
-    util::Stopwatch watch;
-    for (int p = 0; p < kPasses; ++p) {
-      sink += std::accumulate(buffer.begin(), buffer.end(), 0.0);
-    }
-    return watch.ElapsedSeconds() / kPasses;
-  };
-
-  sweep_seconds();  // warm up TLBs/prefetchers before measuring local
-  const double local_s = sweep_seconds();
-  double remote_s = 0.0;
-  if (util::PinCurrentThread(remote_cpu)) {
-    sweep_seconds();
-    remote_s = sweep_seconds();
-  }
-  if (!saved_cpus.empty()) util::PinCurrentThreadToCpus(saved_cpus);
-  if (sink == 12345.0) std::printf("?");  // defeat dead-code elimination
-
-  const double bytes = static_cast<double>(kDoubles) * sizeof(double);
-  bench::PrintValueRow("Threads", "census", "placement local", "gib_per_sec",
-                       bytes / local_s / (1 << 30));
-  reporter.Add({.name = "placement",
-                .shape = "node=local",
-                .ns_per_op = local_s * 1e9,
-                .threads = 1});
-  if (remote_s > 0.0) {
-    bench::PrintValueRow("Threads", "census", "placement remote",
-                         "gib_per_sec", bytes / remote_s / (1 << 30));
-    bench::PrintValueRow("Threads", "census", "placement remote/local",
-                         "ratio", remote_s / local_s);
-    reporter.Add({.name = "placement",
-                  .shape = "node=remote",
-                  .ns_per_op = remote_s * 1e9,
-                  .threads = 1});
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -170,9 +102,8 @@ int main(int argc, char** argv) {
   bench::Init(flags);
 
   // The classic sweep runs under whatever --pin / DEEPAQP_PIN selected
-  // (off unless asked); the pinned sweep below covers all three policies.
+  // (off unless asked); the pinned sweep below covers both policies.
   const util::PinPolicy base_policy = util::ActivePinPolicy();
-  std::printf("topology: %s\n", util::Topology().ToString().c_str());
 
   const relation::Table table = bench::MakeDataset("census", rows);
   const std::vector<int> thread_counts = ThreadCounts(max_threads);
@@ -220,13 +151,11 @@ int main(int argc, char** argv) {
   }
 
   // Phase 2b: pinned vs unpinned at max_threads. Placement must be
-  // invisible in the output (checksums identical) and, on one node, in the
-  // timing too.
+  // invisible in the output (checksums identical).
   uint64_t off_checksum = 0;
   bool checksums_match = true;
   for (util::PinPolicy policy :
-       {util::PinPolicy::kOff, util::PinPolicy::kCompact,
-        util::PinPolicy::kScatter}) {
+       {util::PinPolicy::kOff, util::PinPolicy::kCompact}) {
     util::SetPinPolicy(policy);
     util::SetGlobalThreads(max_threads);  // rebuild pool under the policy
     util::Rng rng(4242);
@@ -279,9 +208,6 @@ int main(int argc, char** argv) {
                   .ns_per_op = seconds * 1e9,
                   .threads = t});
   }
-
-  // Phase 4: raw local-vs-remote memory placement (multi-node only).
-  MeasurePlacement(reporter);
 
   util::SetGlobalThreads(0);
   reporter.Finish();

@@ -1,21 +1,20 @@
-// Progressive (online) AQP on top of the generative model: stream synthetic
-// sample batches into an OnlineAggregator until the confidence interval is
-// tight enough (Sec. VII: "our model based approach could be easily
-// retrofitted into online aggregation systems"), then drill down with
-// conditional generation and quantify error with the bootstrap.
+// Progressive AQP on top of the generative model: the client answers on its
+// current sample pool and doubles the pool, step by step, until the
+// confidence interval is tight enough (Sec. VII: "our model based approach
+// could be easily retrofitted into online aggregation systems"). This is
+// the loop the server streams to its sessions. Then it drills down with
+// conditional generation.
 //
 //   ./progressive_aqp [--rows 15000] [--epochs 15] [--target_ci 0.02]
 
 #include <cstdio>
 
-#include "aqp/bootstrap.h"
-#include "aqp/estimator.h"
 #include "aqp/executor.h"
 #include "aqp/metrics.h"
-#include "aqp/online.h"
 #include "data/generators.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
+#include "vae/client.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: example brevity
@@ -41,8 +40,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Progressive refinement: the user watches the estimate tighten and can
-  // stop at any time; here we stop at a +-2% relative CI.
+  // Progressive refinement: every step answers on the pool the client
+  // holds, so the user watches the estimate tighten and can stop at any
+  // time; here the client stops at the target relative CI.
   aqp::AggregateQuery q;
   q.agg = aqp::AggFunc::kAvg;
   q.measure_attr = schema.IndexOf("hours_per_week");
@@ -51,25 +51,26 @@ int main(int argc, char** argv) {
   const double truth = aqp::ExecuteExact(q, table)->Scalar();
   std::printf("\n%s (exact %.3f)\n", q.ToString(schema).c_str(), truth);
 
-  aqp::OnlineAggregator agg(q, table.num_rows());
-  util::Rng rng(23);
-  int batch_no = 0;
-  while (!agg.Converged(target_ci) && batch_no < 200) {
-    relation::Table batch = (*model)->Generate(250, rng);
-    if (!agg.AddBatch(batch).ok()) return 1;
-    ++batch_no;
-    if (batch_no <= 5 || batch_no % 20 == 0) {
-      auto cur = agg.Current();
-      std::printf("  after %5zu tuples: %.3f +- %.3f\n",
-                  agg.tuples_seen(), cur->Scalar(),
-                  cur->groups[0].ci_half_width);
+  vae::AqpClient::Options copts;
+  copts.initial_samples = 250;
+  copts.max_samples = 64000;
+  copts.population_rows = table.num_rows();
+  copts.seed = 23;
+  auto client = vae::AqpClient::Wrap(std::move(model).value(), copts);
+  double estimate = 0.0;
+  for (bool final = false; !final;) {
+    auto step = client->QueryRefineStep(q, target_ci, &final);
+    if (!step.ok() || step->groups.empty()) {
+      std::fprintf(stderr, "refine step failed: %s\n",
+                   step.status().ToString().c_str());
+      return 1;
     }
+    estimate = step->Scalar();
+    std::printf("  %6zu samples: %.3f +- %.3f\n", client->pool_size(),
+                estimate, step->groups[0].ci_half_width);
   }
-  auto final_est = agg.Current();
-  std::printf("  converged at %zu tuples: %.3f +- %.3f (err %.2f%%)\n",
-              agg.tuples_seen(), final_est->Scalar(),
-              final_est->groups[0].ci_half_width,
-              100.0 * aqp::RelativeError(final_est->Scalar(), truth));
+  std::printf("  final at %zu samples (err %.2f%%)\n", client->pool_size(),
+              100.0 * aqp::RelativeError(estimate, truth));
 
   // Drill-down with conditional generation: rare sub-population (the
   // paper's "aggregates over rare sub-populations" use case).
@@ -80,8 +81,10 @@ int main(int argc, char** argv) {
       {static_cast<size_t>(schema.IndexOf("workclass")), aqp::CmpOp::kGe,
        6.0});
   std::printf("\nConditional generation: age >= 60 AND workclass >= 6\n");
+  util::Rng rng(23);
+  const vae::VaeAqpModel& generator = client->model();
   relation::Table rare_sample =
-      (*model)->GenerateWhere(400, rare, (*model)->default_t(), rng);
+      generator.GenerateWhere(400, rare, generator.default_t(), rng);
   std::printf("  got %zu conditional tuples\n", rare_sample.num_rows());
   if (rare_sample.num_rows() >= 30) {
     aqp::AggregateQuery rare_q;
@@ -96,21 +99,6 @@ int main(int argc, char** argv) {
                   "conditional-sample %.2f\n",
                   exact->Scalar(), est->Scalar());
     }
-  }
-
-  // Bootstrap CIs on a model sample vs the CLT interval.
-  std::printf("\nBootstrap vs CLT interval on a 500-tuple model sample\n");
-  relation::Table sample = (*model)->Generate(500, rng);
-  aqp::AggregateQuery sum_q;
-  sum_q.agg = aqp::AggFunc::kSum;
-  sum_q.measure_attr = schema.IndexOf("capital_gain");
-  auto plain = aqp::EstimateFromSample(sum_q, sample, table.num_rows());
-  auto boot = aqp::BootstrapEstimate(sum_q, sample, table.num_rows(), {});
-  if (plain.ok() && boot.ok()) {
-    std::printf("  CLT:       %.3g +- %.3g\n", plain->Scalar(),
-                plain->groups[0].ci_half_width);
-    std::printf("  bootstrap: %.3g +- %.3g\n", boot->Scalar(),
-                boot->groups[0].ci_half_width);
   }
   return 0;
 }

@@ -8,11 +8,10 @@
 // each group's moments see exactly the additions of a row-at-a-time scan
 // (tests/engine_reference.cc keeps that scan as the oracle), at every
 // `--threads` setting. The only threaded piece is the selection scan on
-// large tables (EvalPredicate fans out over fixed word-aligned row blocks,
-// node-sharded for NUMA locality): the bitmap it builds is exact boolean
-// state, so parallelizing it cannot change any result. All floating-point
-// accumulation (AccumulateSelected) stays strictly serial in ascending row
-// order.
+// large tables (EvalPredicate fans out over fixed word-aligned row
+// blocks): the bitmap it builds is exact boolean state, so parallelizing
+// it cannot change any result. All floating-point accumulation
+// (AccumulateSelected) stays strictly serial in ascending row order.
 
 #include "aqp/engine.h"
 
@@ -164,16 +163,14 @@ void EvalPredicate(const Predicate& pred, const relation::Table& table,
                    size_t begin, size_t end, SelectionVector* sel) {
   sel->Resize(std::max(sel->size(), end));
   if (begin >= end) return;
-  // Big scans fan out over fixed word-aligned row blocks, node-sharded so
-  // pinned lanes scan the rows their node holds (the generation merge
-  // first-touched them under the same sharding). The bitmap is an exact
-  // boolean artifact — no floating-point accumulation — so the parallel
-  // scan is bit-identical to the serial one at every thread count and
-  // placement policy.
+  // Big scans fan out over fixed word-aligned row blocks. The bitmap is an
+  // exact boolean artifact — no floating-point accumulation — so the
+  // parallel scan is bit-identical to the serial one at every thread count
+  // and placement policy.
   if (end - begin >= kParallelScanMinRows && util::GlobalThreads() > 1) {
     const size_t first_block = begin / kScanBlockRows;
     const size_t last_block = (end - 1) / kScanBlockRows;
-    util::ParallelForSharded(first_block, last_block + 1, [&](size_t b) {
+    util::ParallelFor(first_block, last_block + 1, [&](size_t b) {
       const size_t block_begin = std::max(begin, b * kScanBlockRows);
       const size_t block_end = std::min(end, (b + 1) * kScanBlockRows);
       EvalPredicateRange(pred, table, block_begin, block_end, sel);
@@ -198,11 +195,6 @@ size_t CountMatches(const Predicate& pred, const relation::Table& table) {
 void DenseGroupMoments::EnsureGroups(size_t groups, bool with_values) {
   if (m.size() < groups) m.resize(groups);
   if (with_values && values.size() < groups) values.resize(groups);
-}
-
-void DenseGroupMoments::Clear() {
-  std::fill(m.begin(), m.end(), Moments{});
-  for (auto& v : values) v.clear();
 }
 
 void AccumulateSelected(const AggregateQuery& query,

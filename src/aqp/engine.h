@@ -10,15 +10,15 @@
 
 namespace deepaqp::aqp {
 
-/// The query engine behind ExecuteExact, EstimateFromSample, Selectivity,
-/// BootstrapEstimate, and OnlineAggregator::AddBatch: per-condition
-/// selection-vector kernels over the columnar Table (tight loops producing
-/// bitmaps, AND/OR-combined per Predicate), fused filter+aggregate passes,
-/// and dense array-indexed group accumulators. Every group's measure
-/// contributions accumulate in ascending row order, so results are
-/// bit-identical at every `--threads` setting and to the row-at-a-time
-/// reference loops the tests keep (tests/engine_reference.h). There is one
-/// engine; run reports print its name.
+/// The query engine behind ExecuteExact, EstimateFromSample, Selectivity
+/// and the client's query cache: per-condition selection-vector kernels
+/// over the columnar Table (tight loops producing bitmaps, AND/OR-combined
+/// per Predicate), fused filter+aggregate passes, and dense array-indexed
+/// group accumulators. Every group's measure contributions accumulate in
+/// ascending row order, so results are bit-identical at every `--threads`
+/// setting and to the row-at-a-time reference loops the tests keep
+/// (tests/engine_reference.h). There is one engine; run reports print its
+/// name.
 enum class EngineKind { kVector };
 
 inline EngineKind ActiveEngine() { return EngineKind::kVector; }
@@ -71,7 +71,7 @@ size_t CountMatches(const Predicate& pred, const relation::Table& table);
 
 /// Per-group running moments of the measure (or of the 0/1 membership
 /// indicator for COUNT). Shared by the exact executor, the sample
-/// estimator, the bootstrap replicate loop, and the online aggregator.
+/// estimator and the client's query cache.
 struct Moments {
   size_t count = 0;
   double sum = 0.0;
@@ -106,8 +106,8 @@ struct GroupMoments {
 /// Dense array-indexed group accumulator: slot g holds the moments of group
 /// code g (slot 0 for scalar queries). Group codes are small non-negative
 /// ints, so this replaces a per-row std::map lookup with an array index.
-/// Reused across calls (bootstrap replicates, the client cache) without
-/// reallocating.
+/// The client cache keeps one per query shape and folds pool growth into
+/// it.
 struct DenseGroupMoments {
   std::vector<Moments> m;
   std::vector<std::vector<double>> values;  // per-group, QUANTILE only
@@ -115,9 +115,6 @@ struct DenseGroupMoments {
   /// Grows to `groups` slots (never shrinks); `with_values` additionally
   /// sizes the per-group value vectors.
   void EnsureGroups(size_t groups, bool with_values);
-
-  /// Zeroes all moments and clears value vectors, keeping capacity.
-  void Clear();
 };
 
 /// Fused aggregation pass: folds rows [begin, end) whose bit is set in
@@ -158,8 +155,7 @@ QueryResult FinalizeEstimate(const AggregateQuery& query,
 
 /// The sample-quantile value of an already-sorted non-empty vector (linear
 /// interpolation between closest ranks) — the interpolation rule of
-/// EstimateFromSample's QUANTILE estimate, shared with the bootstrap
-/// replicate loop so replicate values match the estimator bit-for-bit.
+/// EstimateFromSample's QUANTILE estimate.
 double SampleQuantileOfSorted(const std::vector<double>& sorted, double q);
 
 }  // namespace deepaqp::aqp

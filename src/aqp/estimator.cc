@@ -14,8 +14,8 @@ util::Result<QueryResult> EstimateFromSample(const AggregateQuery& query,
     return util::Status::FailedPrecondition("empty sample");
   }
   // Accumulation and the estimate/CI formulas are the shared helpers in
-  // aqp/engine.h, so this path, ExecuteExact, and the bootstrap replicate
-  // loop all aggregate through the same code.
+  // aqp/engine.h, so this path, ExecuteExact and the client's query cache
+  // all aggregate through the same code.
   return FinalizeEstimate(query, AccumulateQuery(query, sample), ns,
                           population_rows);
 }

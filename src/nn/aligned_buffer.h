@@ -103,15 +103,14 @@ using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 /// AlignedAllocator whose value-less construct() default-initializes
 /// instead of value-initializing: for trivially-constructible element types
-/// resize() then allocates *without writing* the new elements. That is the
-/// NUMA first-touch hook — under Linux's default first-touch placement a
-/// page lands on the node of the thread that first writes it, so a buffer
-/// sized on one thread and then filled shard-by-shard from pinned workers
-/// (Table::AssignRows under ParallelForSharded) ends up node-local to its
-/// readers. The cost is a contract: new elements are indeterminate until
-/// the caller overwrites them, so this allocator is only for containers
-/// whose growth paths fully assign what they expose (columnar Table
-/// storage; NOT Matrix, whose users rely on zeroed growth).
+/// resize() then allocates *without writing* the new elements, so a buffer
+/// sized on one thread and then filled in parallel (Table::AssignRows under
+/// ParallelFor) is written once, by the lanes that fill it, instead of
+/// being zeroed first; under Linux's first-touch placement each page also
+/// lands where its writer runs. The cost is a contract: new elements are
+/// indeterminate until the caller overwrites them, so this allocator is
+/// only for containers whose growth paths fully assign what they expose
+/// (columnar Table storage; NOT Matrix, whose users rely on zeroed growth).
 template <typename T, std::size_t Alignment = kBufferAlign>
 class FirstTouchAllocator : public AlignedAllocator<T, Alignment> {
  public:

@@ -501,7 +501,8 @@ void ApplyActivation(Activation act, float leaky_slope, float* data,
       return;
     case Activation::kLeakyRelu:
       for (size_t i = 0; i < n; ++i) {
-        data[i] = data[i] < 0.0f ? data[i] * leaky_slope : data[i];
+        data[i] = internal::Select(data[i] < 0.0f, data[i] * leaky_slope,
+                                   data[i]);
       }
       return;
     case Activation::kSigmoid:

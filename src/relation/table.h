@@ -13,10 +13,9 @@
 
 namespace deepaqp::relation {
 
-/// Column storage: aligned, huge-page-hinted, and — crucially for NUMA
-/// placement — first-touch-deferred, so appending uninitialized rows and
-/// filling them from pinned workers (AssignRows under ParallelForSharded)
-/// leaves each shard of a big table on the node that scans it.
+/// Column storage: aligned, huge-page-hinted, and first-touch-deferred, so
+/// appending uninitialized rows and filling them in parallel (AssignRows
+/// under ParallelFor) writes each page once, from the lane that fills it.
 using CatVector = nn::FirstTouchVector<int32_t>;
 using NumVector = nn::FirstTouchVector<double>;
 

@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/topology.h"
-
 namespace deepaqp::util {
 
 class Flags;
@@ -27,15 +25,13 @@ class Flags;
 /// that discipline results are bit-identical at every thread count,
 /// including 1.
 ///
-/// Placement: when util::ActivePinPolicy() is not kOff at construction
+/// Placement: when util::ActivePinPolicy() is kCompact at construction
 /// time, each worker lane is pinned to one CPU of the placement plan
-/// (util::PlanPlacement over util::Topology()) and remembers the NUMA node
-/// it lives on. Pinning failures (containers denying sched_setaffinity,
-/// non-Linux) degrade silently to unpinned lanes; the node assignment is
-/// kept, since ParallelForSharded only uses it as a scheduling preference.
-/// Placement never changes what an index computes — only which lane runs
-/// it — so every policy stays bit-identical to kOff under the contract
-/// above.
+/// (util::PlanPlacement over util::AllowedCpus()). Pinning failures
+/// (containers denying sched_setaffinity, non-Linux) degrade silently to
+/// unpinned lanes. Placement never changes what an index computes — only
+/// which CPU runs it — so both policies stay bit-identical under the
+/// contract above.
 class ThreadPool {
  public:
   /// `parallelism` counts the calling thread: a pool of parallelism N spawns
@@ -51,13 +47,9 @@ class ThreadPool {
 
   int num_threads() const { return parallelism_; }
 
-  /// Placement introspection (benches, logs, tests). `pinned_workers` is
-  /// the number of workers successfully pinned; `shard_count` the number of
-  /// distinct NUMA nodes the lanes cover (1 when placement is off or the
-  /// machine is single-node).
+  /// Number of workers successfully pinned (benches, logs, tests); 0 when
+  /// placement is off.
   int pinned_workers() const { return pinned_workers_; }
-  int shard_count() const { return shard_count_; }
-  const std::vector<LanePlacement>& placement() const { return placement_; }
 
   /// Enqueues a fire-and-forget task. With parallelism 1 the task runs
   /// inline. Tasks must not block waiting for later-queued tasks.
@@ -75,30 +67,10 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
 
-  /// ParallelFor with node-locality-aware scheduling: the index range is
-  /// split into one contiguous shard per NUMA node (sized by that node's
-  /// lane count) and each lane drains its own node's shard before stealing
-  /// from the others. Callers lay data out so contiguous index blocks map
-  /// to contiguous memory; once lanes are pinned and pages were
-  /// first-touched under the same sharding, each node then reads mostly
-  /// node-local rows. Semantics are exactly ParallelFor's — every index
-  /// runs exactly once, exceptions propagate the same way — and with
-  /// placement off or a single node it *is* ParallelFor, so results are
-  /// bit-identical between the two at every thread count.
-  void ParallelForSharded(size_t begin, size_t end,
-                          const std::function<void(size_t)>& body);
-
  private:
-  void WorkerLoop(size_t lane);
+  void WorkerLoop();
 
   const int parallelism_;
-  // Per-lane placement (lane 0 = caller, never pinned; 1.. = workers),
-  // empty when the policy is kOff. lane_shard_ maps each lane to a dense
-  // shard slot; shard_weight_[s] counts the lanes of shard s.
-  std::vector<LanePlacement> placement_;
-  std::vector<int> lane_shard_;
-  std::vector<int> shard_weight_;
-  int shard_count_ = 1;
   int pinned_workers_ = 0;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
@@ -113,8 +85,8 @@ ThreadPool& GlobalThreadPool();
 
 /// Replaces the global pool with one of the given parallelism (0 or negative
 /// means hardware concurrency). Not safe while parallel work is in flight.
-/// The new pool replans placement, so this is also how a SetPinPolicy or
-/// SetTopologyForTest change takes effect.
+/// The new pool replans placement, so this is also how a SetPinPolicy
+/// change takes effect.
 void SetGlobalThreads(int parallelism);
 
 /// Parallelism of the global pool.
@@ -128,10 +100,6 @@ void ApplyThreadsFlag(const Flags& flags);
 /// ParallelFor on the global pool.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body);
-
-/// ParallelForSharded on the global pool.
-void ParallelForSharded(size_t begin, size_t end,
-                        const std::function<void(size_t)>& body);
 
 }  // namespace deepaqp::util
 

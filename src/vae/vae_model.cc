@@ -336,31 +336,28 @@ relation::Table VaeAqpModel::Generate(size_t n, double t, util::Rng& rng,
       (n + kGenerateChunkRows - 1) / kGenerateChunkRows;
   std::vector<std::optional<relation::Table>> chunks(num_chunks);
   std::vector<GenerateStats> chunk_stats(num_chunks);
-  // Node-sharded fan-out: each NUMA node's lanes generate a contiguous
-  // block of chunks. Chunk contents depend only on (master, c) — never on
-  // which lane runs a chunk — so every placement policy and thread count
-  // produces the same chunks.
-  util::ParallelForSharded(0, num_chunks, [&](size_t c) {
+  // Chunk contents depend only on (master, c) — never on which lane runs a
+  // chunk — so every placement policy and thread count produces the same
+  // chunks.
+  util::ParallelFor(0, num_chunks, [&](size_t c) {
     const size_t begin = c * kGenerateChunkRows;
     const size_t rows = std::min(kGenerateChunkRows, n - begin);
     util::Rng chunk_rng = util::Rng::ChildStream(master, c);
     chunks[c].emplace(GenerateChunk(rows, t, chunk_rng, &chunk_stats[c]));
   });
   // Merge: size the pool without touching it (first-touch-deferred column
-  // growth), then copy each chunk into its slice under the same node
-  // sharding as the fan-out. When lanes are pinned, the writer of a slice
-  // is a lane of the node that generated it, so its pages land on the node
-  // that later scans them — and the copy itself parallelizes. Offsets are
-  // a pure function of the chunk row counts, and chunks share the
-  // prototype's dictionaries, so the merged pool matches the old serial
-  // Append bit for bit at every thread count and placement policy.
+  // growth), then copy each chunk into its slice in parallel, so the pages
+  // are written once, by the lanes that copy them. Offsets are a pure
+  // function of the chunk row counts, and chunks share the prototype's
+  // dictionaries, so the merged pool matches a serial Append bit for bit at
+  // every thread count and placement policy.
   std::vector<size_t> offsets(num_chunks + 1, 0);
   for (size_t c = 0; c < num_chunks; ++c) {
     offsets[c + 1] = offsets[c] + chunks[c]->num_rows();
     if (stats != nullptr) stats->Merge(chunk_stats[c]);
   }
   out.AppendUninitializedRows(offsets[num_chunks]);
-  util::ParallelForSharded(0, num_chunks, [&](size_t c) {
+  util::ParallelFor(0, num_chunks, [&](size_t c) {
     out.AssignRows(offsets[c], *chunks[c]);
   });
   if (out.num_rows() < n) {

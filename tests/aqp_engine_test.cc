@@ -2,7 +2,7 @@
 // shapes x selectivities (including empty selections and AVG-of-empty), the
 // engine must produce results bit-identical to the row-at-a-time reference
 // (engine_reference.h), at every --threads setting, across ExecuteExact,
-// EstimateFromSample, BootstrapEstimate, Selectivity, and OnlineAggregator.
+// EstimateFromSample and Selectivity.
 
 #include "aqp/engine.h"
 
@@ -10,10 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include "aqp/bootstrap.h"
 #include "aqp/estimator.h"
 #include "aqp/executor.h"
-#include "aqp/online.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "engine_reference.h"
@@ -110,15 +108,6 @@ TEST(EngineTest, RandomizedWorkloadBitIdenticalAcrossEnginesAndThreads) {
         const double sel_s = ReferenceSelectivity(q, ds.table);
         const double sel_v = Selectivity(q, ds.table);
         EXPECT_EQ(Bits(sel_s), Bits(sel_v)) << ctx << " selectivity";
-
-        BootstrapOptions bopts;
-        bopts.resamples = 20;
-        bopts.seed = 1789 + qi;
-        auto boot_s =
-            ReferenceBootstrapEstimate(q, ds.table, population, bopts);
-        auto boot_v = BootstrapEstimate(q, ds.table, population, bopts);
-        ASSERT_TRUE(boot_s.ok() && boot_v.ok()) << ctx;
-        ExpectBitIdentical(*boot_s, *boot_v, ctx + " bootstrap");
       }
     }
     util::SetGlobalThreads(0);
@@ -194,49 +183,6 @@ TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
   avg_none.agg = AggFunc::kAvg;
   avg_none.measure_attr = 1;
   EXPECT_TRUE(ExecuteExact(avg_none, t)->groups.empty());
-}
-
-TEST(EngineTest, OnlineAggregatorMatchesAcrossEnginesAndBatchSplits) {
-  auto table = data::GenerateTaxi({.rows = 1500, .seed = 17});
-  AggregateQuery q;
-  q.agg = AggFunc::kAvg;
-  q.measure_attr = table.schema().IndexOf("fare");
-  q.group_by_attr = table.schema().IndexOf("pickup_borough");
-  q.filter.conditions.push_back(
-      {static_cast<size_t>(table.schema().IndexOf("trip_distance")),
-       CmpOp::kGt, 1.0});
-
-  const size_t population = table.num_rows() * 10;
-  auto split = [&](const std::vector<size_t>& lens) {
-    std::vector<Table> batches;
-    size_t start = 0;
-    for (size_t len : lens) {
-      std::vector<size_t> rows(len);
-      for (size_t i = 0; i < len; ++i) rows[i] = start + i;
-      batches.push_back(table.Gather(rows));
-      start += len;
-    }
-    return batches;
-  };
-  auto run = [&](const std::vector<Table>& batches) {
-    OnlineAggregator agg(q, population);
-    for (const Table& batch : batches) EXPECT_TRUE(agg.AddBatch(batch).ok());
-    auto current = agg.Current();
-    EXPECT_TRUE(current.ok());
-    return *current;
-  };
-
-  const std::vector<Table> one_batch = split({1500});
-  const std::vector<Table> three_batches = split({500, 700, 300});
-  QueryResult s1 = ReferenceOnlineEstimate(q, one_batch, population);
-  QueryResult v1 = run(one_batch);
-  QueryResult s3 = ReferenceOnlineEstimate(q, three_batches, population);
-  QueryResult v3 = run(three_batches);
-  ExpectBitIdentical(s1, v1, "online one batch");
-  ExpectBitIdentical(s3, v3, "online three batches");
-  // Batch splits merge per matched row, so the split itself is invisible.
-  ExpectBitIdentical(s1, s3, "online reference split invariance");
-  ExpectBitIdentical(v1, v3, "online vector split invariance");
 }
 
 }  // namespace

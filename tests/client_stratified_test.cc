@@ -4,7 +4,6 @@
 
 #include "aqp/executor.h"
 #include "aqp/metrics.h"
-#include "baselines/stratified.h"
 #include "data/generators.h"
 #include "vae/client.h"
 
@@ -96,81 +95,6 @@ TEST(AqpClientTest, PoolGrowthRespectsCap) {
   auto result = client->QueryWithMaxRelativeCi(q, 1e-9);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(client->pool_size(), 400u);
-}
-
-TEST(StratifiedTest, BuildValidatesInputs) {
-  auto table = data::GenerateTaxi({.rows = 1000, .seed = 6});
-  baselines::StratifiedSample::Options opts;
-  opts.strata_attr = 99;
-  EXPECT_FALSE(baselines::StratifiedSample::Build(table, opts).ok());
-  opts = {};
-  opts.strata_attr = static_cast<size_t>(
-      table.schema().IndexOf("fare"));  // numeric
-  EXPECT_FALSE(baselines::StratifiedSample::Build(table, opts).ok());
-  opts = {};
-  opts.senate_fraction = 2.0;
-  EXPECT_FALSE(baselines::StratifiedSample::Build(table, opts).ok());
-}
-
-TEST(StratifiedTest, SenateAllocationCoversMinorityStrata) {
-  auto table = data::GenerateTaxi({.rows = 10000, .seed = 7});
-  baselines::StratifiedSample::Options opts;
-  opts.strata_attr = 0;  // borough, heavily skewed to Manhattan
-  opts.sample_rows = 500;
-  opts.senate_fraction = 1.0;  // equal allocation
-  auto strat = baselines::StratifiedSample::Build(table, opts);
-  ASSERT_TRUE(strat.ok());
-  // Every borough should get ~100 rows; Staten Island (~3%) would get ~15
-  // in a uniform 500-row sample.
-  std::vector<int> counts(5, 0);
-  for (size_t r = 0; r < strat->sample().num_rows(); ++r) {
-    ++counts[strat->sample().CatCode(r, 0)];
-  }
-  for (int c : counts) EXPECT_GE(c, 60);
-}
-
-TEST(StratifiedTest, WeightsRecoverPopulationTotals) {
-  auto table = data::GenerateTaxi({.rows = 8000, .seed = 8});
-  baselines::StratifiedSample::Options opts;
-  opts.strata_attr = 0;
-  opts.sample_rows = 600;
-  opts.senate_fraction = 0.7;
-  auto strat = baselines::StratifiedSample::Build(table, opts);
-  ASSERT_TRUE(strat.ok());
-  double total_weight = 0.0;
-  for (double w : strat->weights()) total_weight += w;
-  // Horvitz-Thompson: weights sum to the population size.
-  EXPECT_NEAR(total_weight, 8000.0, 8000.0 * 0.02);
-}
-
-TEST(StratifiedTest, UniformLikeResampleIsUnbiased) {
-  auto table = data::GenerateTaxi({.rows = 10000, .seed = 9});
-  baselines::StratifiedSample::Options opts;
-  opts.strata_attr = 0;
-  opts.sample_rows = 1500;
-  opts.senate_fraction = 1.0;  // most distorted allocation
-  auto strat = baselines::StratifiedSample::Build(table, opts);
-  ASSERT_TRUE(strat.ok());
-  util::Rng rng(10);
-  auto resample = strat->ResampleUniformLike(8000, rng);
-  // Weighted resampling must undo the senate distortion: the Manhattan
-  // fraction should match the population again.
-  auto frac = [](const relation::Table& t, int32_t code) {
-    size_t hits = 0;
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      hits += t.CatCode(r, 0) == code;
-    }
-    return static_cast<double>(hits) / t.num_rows();
-  };
-  EXPECT_NEAR(frac(resample, 0), frac(table, 0), 0.05);
-
-  // And the harness-facing sampler produces working estimates.
-  aqp::AggregateQuery q;
-  q.agg = aqp::AggFunc::kAvg;
-  q.measure_attr = table.schema().IndexOf("fare");
-  const double truth = aqp::ExecuteExact(q, table)->Scalar();
-  const double est = aqp::ExecuteExact(q, resample)->Scalar();
-  EXPECT_LT(aqp::RelativeError(est, truth), 0.1);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 #ifndef DEEPAQP_TESTS_ENGINE_REFERENCE_H_
 #define DEEPAQP_TESTS_ENGINE_REFERENCE_H_
 
-#include <vector>
-
-#include "aqp/bootstrap.h"
 #include "aqp/query.h"
 #include "relation/table.h"
 #include "util/status.h"
@@ -27,18 +24,6 @@ util::Result<QueryResult> ReferenceEstimateFromSample(
 
 double ReferenceSelectivity(const AggregateQuery& query,
                             const relation::Table& table);
-
-/// BootstrapEstimate that materializes every resample with Table::Gather
-/// and runs ReferenceEstimateFromSample on it.
-util::Result<QueryResult> ReferenceBootstrapEstimate(
-    const AggregateQuery& query, const relation::Table& sample,
-    size_t population_rows, const BootstrapOptions& options);
-
-/// What OnlineAggregator::Current() reports after `batches` were fed in
-/// order, each folded in one row at a time.
-QueryResult ReferenceOnlineEstimate(
-    const AggregateQuery& query, const std::vector<relation::Table>& batches,
-    size_t population_rows);
 
 }  // namespace deepaqp::aqp
 

@@ -108,9 +108,9 @@ TEST(ParallelDeterminismTest, GeneratedSamplePool) {
 }
 
 // Placement policies decide *where* a loop index runs, never what it
-// computes: under a synthetic 2-node topology (the build machines have one
-// node), every policy must reproduce the pin=off pool bit-for-bit at every
-// thread count — including counts that straddle the fake node boundary.
+// computes: pinned to the process's real CPUs, compact must reproduce the
+// pin=off pool bit-for-bit at every thread count — including pools wider
+// than the machine, whose lanes wrap around the CPU list.
 TEST(ParallelDeterminismTest, PinnedPoliciesMatchUnpinnedExactly) {
   const relation::Table table = TrainingTable();
   util::SetGlobalThreads(1);
@@ -118,17 +118,11 @@ TEST(ParallelDeterminismTest, PinnedPoliciesMatchUnpinnedExactly) {
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   vae::VaeAqpModel& model = **trained;
 
-  util::CpuTopology two_node;
-  two_node.nodes.push_back({.id = 0, .cpus = {0, 1}});
-  two_node.nodes.push_back({.id = 1, .cpus = {2, 3}});
-  util::SetTopologyForTest(&two_node);
   const util::PinPolicy saved = util::ActivePinPolicy();
-
   const int pin_threads[] = {1, 4, 8};
   std::vector<relation::Table> pools;
   for (util::PinPolicy policy :
-       {util::PinPolicy::kOff, util::PinPolicy::kCompact,
-        util::PinPolicy::kScatter}) {
+       {util::PinPolicy::kOff, util::PinPolicy::kCompact}) {
     for (int t : pin_threads) {
       util::SetPinPolicy(policy);
       util::SetGlobalThreads(t);  // rebuild the pool under (policy, t)
@@ -137,7 +131,6 @@ TEST(ParallelDeterminismTest, PinnedPoliciesMatchUnpinnedExactly) {
     }
   }
 
-  util::SetTopologyForTest(nullptr);
   util::SetPinPolicy(saved);
   util::SetGlobalThreads(0);
 

@@ -65,7 +65,7 @@ int Usage() {
       "|client> "
       "[--flags]\n"
       "run with a command and no flags for that command's requirements\n"
-      "global flags: --threads N, --pin off|compact|scatter\n",
+      "global flags: --threads N, --pin off|compact\n",
       stderr);
   return 2;
 }
@@ -651,10 +651,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   util::Flags flags(argc - 1, argv + 1);
-  // --pin off|compact|scatter selects the worker-placement policy; it must
-  // precede ApplyThreadsFlag so the rebuilt pool plans placement under it.
-  // The explicit flag is a hard error on unknown values (the DEEPAQP_PIN
-  // env var only warns).
+  // --pin off|compact selects the worker-placement policy; it must precede
+  // ApplyThreadsFlag so the rebuilt pool pins under it. The explicit flag
+  // is a hard error on unknown values (the DEEPAQP_PIN env var only warns).
   if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
